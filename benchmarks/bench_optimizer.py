@@ -38,6 +38,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.tables import ResultTable
+from repro.api import PimSession
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.tables import ColumnTable
 from repro.service import (
@@ -107,11 +108,13 @@ def _run_mode(system, requests, optimize: bool):
         observe=optimize,
     )
     events = poisson_schedule(requests, rate_per_s=ARRIVAL_RATE_PER_S, seed=11)
-    result = frontend.run(events, name="optimized" if optimize else "baseline")
-    metrics = result.metrics
-    completed_bytes = sum(r.metrics.bytes_produced for r in result.completed())
+    session = PimSession(frontend, name="optimized" if optimize else "baseline")
+    records = [future.record for future in session.submit_stream(events)]
+    session.drain()
+    metrics = session.report().details
+    completed_bytes = sum(r.metrics.bytes_produced for r in records if r.completed)
     throughput = completed_bytes / (metrics.makespan_ns * 1e-9)
-    return frontend, result, throughput
+    return frontend, metrics, records, throughput
 
 
 def _run_experiment(system):
@@ -141,8 +144,7 @@ def test_plan_optimizer_beats_per_request_lowering(benchmark, ddr3_ambit_system)
     )
     payload = {"duplication_rate": duplication_rate}
     for optimize in (False, True):
-        _, result, throughput = outcomes[optimize]
-        metrics = result.metrics
+        _, metrics, _, throughput = outcomes[optimize]
         mode = "optimized" if optimize else "baseline"
         table.add_row(
             mode,
@@ -177,8 +179,8 @@ def test_plan_optimizer_beats_per_request_lowering(benchmark, ddr3_ambit_system)
 
     # Both modes served the identical workload (nothing rejected), so the
     # comparison is purely plan-vs-plan ...
-    baseline_metrics = outcomes[False][1].metrics
-    optimized_metrics = outcomes[True][1].metrics
+    baseline_metrics = outcomes[False][1]
+    _, optimized_metrics, optimized_records, _ = outcomes[True]
     assert baseline_metrics.rejected == optimized_metrics.rejected == 0
     assert baseline_metrics.completed == optimized_metrics.completed == NUM_REQUESTS
 
@@ -190,7 +192,7 @@ def test_plan_optimizer_beats_per_request_lowering(benchmark, ddr3_ambit_system)
     assert optimized_metrics.energy_j <= baseline_metrics.energy_j * (1 + 1e-9)
 
     # ... and results stay bit-exact with host evaluation.
-    for request, record in list(zip(requests, outcomes[True][1].completed()))[:16]:
+    for request, record in list(zip(requests, optimized_records))[:16]:
         expected, _ = index.evaluate_conjunction(list(request.predicates))
         assert np.array_equal(record.value, expected)
 

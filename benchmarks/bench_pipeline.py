@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.tables import ResultTable
+from repro.api import PimSession
 from repro.database.bitweaving import BitWeavingColumn
 from repro.service import (
     BatchExecutor,
@@ -87,11 +88,13 @@ def _run_mode(system, scans, pipeline: bool):
     )
     requests = [ScanRequest(column=c, kind=k, constants=cs) for c, k, cs in scans]
     events = poisson_schedule(requests, rate_per_s=ARRIVAL_RATE_PER_S, seed=11)
-    result = frontend.run(events, name="pipelined" if pipeline else "barrier")
-    metrics = result.metrics
-    completed_bytes = sum(r.metrics.bytes_produced for r in result.completed())
+    session = PimSession(frontend, name="pipelined" if pipeline else "barrier")
+    records = [future.record for future in session.submit_stream(events)]
+    session.drain()
+    metrics = session.report().details
+    completed_bytes = sum(r.metrics.bytes_produced for r in records if r.completed)
     throughput = completed_bytes / (metrics.makespan_ns * 1e-9)
-    return frontend, result, throughput
+    return frontend, metrics, records, throughput
 
 
 def _run_experiment(system):
@@ -118,8 +121,7 @@ def test_lane_pipelining_beats_the_barrier(benchmark, ddr3_ambit_system):
     )
     payload = {}
     for pipeline in (False, True):
-        frontend, result, throughput = outcomes[pipeline]
-        metrics = result.metrics
+        frontend, metrics, _, throughput = outcomes[pipeline]
         mode = "pipelined" if pipeline else "barrier"
         # Mean per-bank idle over the run, comparable across modes: every
         # scan here occupies exactly one bank for its serial latency, so
@@ -159,23 +161,21 @@ def test_lane_pipelining_beats_the_barrier(benchmark, ddr3_ambit_system):
 
     # Both modes served the identical workload (nothing rejected), so the
     # comparison is purely schedule-vs-schedule ...
-    barrier_metrics = outcomes[False][1].metrics
-    pipelined_metrics = outcomes[True][1].metrics
+    _, barrier_metrics, barrier_records, _ = outcomes[False]
+    _, pipelined_metrics, pipelined_records, _ = outcomes[True]
     assert barrier_metrics.rejected == pipelined_metrics.rejected == 0
     assert barrier_metrics.completed == pipelined_metrics.completed == NUM_SCANS
 
     # ... the energy bill is identical (the schedule never changes the
     # work), and results stay bit-exact with sequential execution.
     assert pipelined_metrics.energy_j == pytest.approx(barrier_metrics.energy_j)
-    for (column, kind, constants), record in list(
-        zip(scans, outcomes[True][1].completed())
-    )[:16]:
+    for (column, kind, constants), record in list(zip(scans, pipelined_records))[:16]:
         expected, _ = column.scan(kind, *constants)
         assert np.array_equal(record.value, expected)
 
     # Acceptance: >= 1.3x modeled throughput from cross-batch pipelining,
     # with every request completing no later than under the barrier.
     assert gain >= 1.3
-    for fast, slow in zip(outcomes[True][1].records, outcomes[False][1].records):
+    for fast, slow in zip(pipelined_records, barrier_records):
         assert fast.finish_ns <= slow.finish_ns * (1 + 1e-9)
     assert pipelined_metrics.sojourn_p99_ns <= barrier_metrics.sojourn_p99_ns * (1 + 1e-9)

@@ -1,6 +1,6 @@
 """Service-layer batching: 64 BitWeaving scans batched vs. sequential.
 
-The batch scheduler may only speed a batch up through bank-level overlap —
+The batch executor may only speed a batch up through bank-level overlap —
 per-request latency and total energy are pinned to sequential execution by
 the service-layer property tests.  This benchmark quantifies that overlap
 on the paper's DDR3 configuration (16 banks): 64 predicate scans over 16
@@ -16,6 +16,7 @@ import pytest
 from repro.analysis.tables import ResultTable
 from repro.database.bitweaving import BitWeavingColumn
 from repro.database.queries import QueryEngine
+from repro.service import BatchExecutor, ScanRequest
 
 from _bench_utils import emit
 
@@ -44,8 +45,6 @@ def _build_scans(columns):
 
 
 def _run_experiment(system):
-    from repro.service import BatchScheduler
-
     ambit = system["ambit"]
     columns = _build_columns()
     scans = _build_scans(columns)
@@ -63,11 +62,9 @@ def _run_experiment(system):
         sequential_energy += cost.energy_j
         result_bytes += cost.bytes_produced
 
-    # Batched: all 64 scans through the scheduler.
-    scheduler = BatchScheduler(engine=ambit)
-    for column, kind, constants in scans:
-        scheduler.submit_scan(column, kind, *constants)
-    batch = scheduler.execute()
+    # Batched: all 64 scans as one hand-built executor batch.
+    requests = [ScanRequest(column=c, kind=k, constants=cs) for c, k, cs in scans]
+    batch = BatchExecutor(engine=ambit).run(requests)
 
     sequential_tput = result_bytes / (sequential_ns * 1e-9)
     batched_tput = batch.metrics.throughput_bytes_per_s

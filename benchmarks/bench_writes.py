@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.tables import ResultTable
+from repro.api import PimSession
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.tables import ColumnTable
 from repro.service import (
@@ -134,9 +135,11 @@ def _run_mode(system, mode: str):
         maintenance=strategy,
     )
     events = poisson_schedule(requests, rate_per_s=ARRIVAL_RATE_PER_S, seed=11)
-    result = frontend.run(events, name=mode)
-    metrics = result.metrics
-    completed = result.completed()
+    session = PimSession(frontend, name=mode)
+    futures = session.submit_stream(events)
+    session.drain()
+    metrics = session.report().details
+    completed = [future.record for future in futures if future.done()]
     # Useful bytes: the response bitmaps the reads actually return.  The
     # read set is identical across modes, so the gain is purely the
     # makespan ratio — per-op traffic accounting (which CSE legitimately
@@ -152,7 +155,7 @@ def _run_mode(system, mode: str):
         "index": index,
         "requests": requests,
         "duplication_rate": duplication_rate,
-        "result": result,
+        "completed": completed,
         "metrics": metrics,
         "throughput": throughput,
     }
@@ -185,9 +188,7 @@ def test_result_cache_pays_for_itself_under_writes(benchmark, ddr3_ambit_system)
     for mode in MODES:
         out = outcomes[mode]
         metrics = out["metrics"]
-        writes = [
-            r for r in out["result"].completed() if is_write_request(r.request)
-        ]
+        writes = [r for r in out["completed"] if is_write_request(r.request)]
         write_latency_ns = sum(r.metrics.latency_ns for r in writes)
         write_energy_j = sum(r.metrics.energy_j for r in writes)
         cache = out["frontend"].cache
@@ -241,9 +242,9 @@ def test_result_cache_pays_for_itself_under_writes(benchmark, ddr3_ambit_system)
     # ... and answers are bit-exact across all four modes, position by
     # position: cache hits, invalidation, and deferred rebuilds never
     # change a result; updates report identical rows affected.
-    reference = outcomes["eager_nocache"]["result"].completed()
+    reference = outcomes["eager_nocache"]["completed"]
     for mode in MODES[1:]:
-        for ref, record in zip(reference, outcomes[mode]["result"].completed()):
+        for ref, record in zip(reference, outcomes[mode]["completed"]):
             if is_write_request(ref.request):
                 assert record.value == ref.value
             else:

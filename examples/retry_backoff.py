@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Rejected requests don't vanish: a retry/backoff client over the service.
 
-Admission control turns overload into rejections; PR 2 left those
-requests on the floor.  :class:`RetryClient` models the client side of
-backpressure on the same virtual clock: every rejection re-offers after
-exponential backoff (with seeded jitter to break up retry storms), so a
-burst that overwhelms the queue drains through it over a few attempts
-instead of being lost.
+Admission control turns overload into rejections; a one-shot client
+leaves those requests on the floor.  :class:`RetryClient` models the
+client side of backpressure on the same virtual clock: every rejection
+re-offers after exponential backoff (with seeded jitter to break up retry
+storms), so a burst that overwhelms the queue drains through it over a
+few attempts instead of being lost.
 
 The demo offers one burst far past the queue bound, one-shot vs. retried,
 then shows the same client driving a 2-shard cluster.
@@ -76,15 +76,15 @@ def main() -> None:
     )
 
     # One-shot client: rejections are lost.
-    one_shot = build_frontend().run(build_events(), name="one_shot")
-    table.add_row(
-        "one-shot", one_shot.metrics.completed, 0,
-        one_shot.metrics.rejected, one_shot.metrics.offered,
-    )
+    one_shot = PimSession(build_frontend(), name="one_shot")
+    one_shot.submit_stream(build_events())
+    one_shot.drain()
+    report = one_shot.report()
+    table.add_row("one-shot", report.completed, 0, report.rejected, report.offered)
 
     # Retrying client: the same burst drains through the bounded queue.
     policy = BackoffPolicy(base_ns=10_000.0, multiplier=2.0, max_attempts=6, jitter=0.25)
-    outcome = RetryClient(build_frontend(), policy, seed=1).run(
+    outcome = RetryClient(PimSession(build_frontend()), policy, seed=1).run(
         build_events(), name="retry_client"
     )
     table.add_row(
@@ -92,9 +92,8 @@ def main() -> None:
         outcome.gave_up, outcome.total_attempts,
     )
 
-    # The same client drives a sharded cluster unchanged — here wrapped in
-    # a PimSession (the client speaks the shared Backend protocol either
-    # way, so passing the session or its backend is equivalent).
+    # The same client drives a sharded cluster unchanged: only the
+    # session's backend differs.
     session = PimSession(
         ClusterFrontend(
             num_shards=2,

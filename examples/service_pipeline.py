@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.analysis.tables import ResultTable
+from repro.api import PimSession
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
 from repro.database.tables import ColumnTable
@@ -92,8 +93,6 @@ def build_workload(rng, num_requests=160, rate_per_s=3e6):
 
 
 def serve_stream() -> None:
-    from repro.api import PimSession
-
     rng = np.random.default_rng(42)
     engine = AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=8))
     # The unified client API: a session over the service frontend.  The
@@ -158,20 +157,21 @@ def verify_functional_smoke() -> None:
     frontend = ServiceFrontend(
         executor=executor, policy=BatchPolicy(max_batch=8), functional=True
     )
+    session = PimSession(frontend, name="functional_smoke")
     rng = np.random.default_rng(7)
     columns = [BitWeavingColumn(rng.integers(0, 64, size=300), 6) for _ in range(4)]
+    futures = []
     for column in columns:
-        frontend.offer(ScanRequest(column=column, kind="between", constants=(5, 50)))
-        frontend.offer(ScanRequest(column=column, kind="equal", constants=(21,)))
-    frontend.drain()
-    result = frontend.result("functional_smoke")
-    for record in result.completed():
-        expected, _ = record.request.column.scan(
-            record.request.kind, *record.request.constants
+        futures.append(session.scan(column, "between", 5, 50))
+        futures.append(session.scan(column, "equal", 21))
+    session.drain()
+    for future in futures:
+        expected, _ = future.request.column.scan(
+            future.request.kind, *future.request.constants
         )
-        assert np.array_equal(record.value, expected), "pipeline diverged"
+        assert np.array_equal(future.result().value, expected), "pipeline diverged"
     print(
-        f"\nfunctional smoke: {result.metrics.completed} scans bit-exact; "
+        f"\nfunctional smoke: {session.report().completed} scans bit-exact; "
         f"{executor.functional_executed} verified on the banks, "
         f"{executor.sampled_out} sampled out (verify_fraction=0.5), "
         f"pool {executor.pool.hits} hits / {executor.pool.misses} misses"

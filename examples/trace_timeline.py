@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """A traced run of the service pipeline, rendered as a lane timeline.
 
-Runs a small overloaded Poisson stream of predicate scans through the
-``ServiceFrontend`` with ``observe=True``, then renders what the
-observability plane recorded — all of it stamped from the simulation's
-virtual clock, so the traced run is bit-exact with an untraced one:
+Runs a small overloaded Poisson stream of predicate scans through a
+``PimSession`` over a ``ServiceFrontend`` with ``observe=True``, then
+renders what the observability plane recorded — all of it stamped from
+the simulation's virtual clock, so the traced run is bit-exact with an
+untraced one:
 
 * the **lane timeline** — one ASCII row per bank lane (plus the host
   lane and the batch track), showing each lane's busy intervals and
@@ -26,6 +27,7 @@ import numpy as np
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.analysis import render_lane_timeline, render_span_tree
+from repro.api import PimSession
 from repro.dram.device import DramDevice
 from repro.database.bitweaving import BitWeavingColumn
 from repro.obs import write_trace
@@ -77,12 +79,14 @@ def main() -> None:
     events = poisson_schedule(
         build_requests(rng), rate_per_s=ARRIVAL_RATE_PER_S, seed=17
     )
-    result = frontend.run(events, name="traced_overload")
-    metrics = result.metrics
+    session = PimSession(frontend, name="traced_overload")
+    futures = session.submit_stream(events)
+    session.drain()
+    metrics = session.report().details
 
     print(render_lane_timeline(frontend.obs.tracer))
 
-    completed = result.completed()
+    completed = [future.record for future in futures if future.done()]
     slowest = max(completed, key=lambda r: r.finish_ns - r.arrival_ns)
     print(
         f"\nslowest completed request "

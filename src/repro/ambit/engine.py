@@ -244,7 +244,7 @@ class AmbitEngine:
         This is the single source of the per-operation cost formula: rows
         spread over ``min(banks_parallel, rows)`` banks, latency is the
         per-bank serial share, energy scales with total rows.  Both
-        execution paths, the query cost models, and the batch scheduler
+        execution paths, the query cost models, and the batch executor
         charge through here.
         """
         banks = min(self.config.banks_parallel, num_rows) if num_rows else 1

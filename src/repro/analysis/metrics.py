@@ -340,8 +340,7 @@ def summarize_envelopes(records: Sequence) -> Dict:
     (offered/admitted/rejected/shed/completed/deadline misses), the
     wait/sojourn percentiles, and the serial latency/energy of the
     completed work.  Both the service tier
-    (:func:`summarize_queue_records`, behind
-    :func:`repro.service.frontend.summarize_records`) and the cluster
+    (:func:`summarize_queue_records`) and the cluster
     roll-up (:meth:`ClusterMetrics.from_records`) build their metrics
     from this dict, so the two tiers can never drift on what a count or
     a percentile means.
@@ -385,10 +384,9 @@ def summarize_queue_records(
 ) -> QueueMetrics:
     """Queueing summary over a window of request envelopes.
 
-    Used by :meth:`ServiceFrontend.result` over the frontend's lifetime,
-    by :meth:`PimSession.report` over just one session's records, and by
-    the host backend — so a shared or reused backend never folds earlier
-    traffic into a later report.
+    Used by :meth:`PimSession.report` over just one session's records (the
+    service and host tiers, and each shard of a cluster), so a shared or
+    reused backend never folds earlier traffic into a later report.
     """
     return QueueMetrics(
         name=name,
@@ -458,7 +456,10 @@ class ClusterMetrics:
         copied_bytes / copy_ns: Bytes and modeled device time of the
             replication copies — charged to the destination shards'
             lanes, so elasticity shows up in ``busy_ns`` too.
-        per_shard: Each shard frontend's own queueing summary.
+        per_shard: Each shard frontend's own queueing summary.  A part
+            that failover moved to another shard is attributed to the
+            shard that finally held it, so a failover is not counted as a
+            rejection on the shard it left.
     """
 
     name: str

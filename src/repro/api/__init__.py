@@ -6,8 +6,8 @@ whatever executes underneath:
 * :class:`PimSession` — declarative submit (``scan`` / ``conjunction`` /
   ``range_count``), :class:`Future` handles, one :class:`Response`
   shape, one :class:`SessionReport` roll-up;
-* :class:`Backend` — the ``offer`` / ``advance_to`` / ``drain`` /
-  ``result`` protocol every tier speaks
+* :class:`Backend` — the ``offer`` / ``advance_to`` / ``drain``
+  protocol every tier speaks
   (:class:`~repro.service.frontend.ServiceFrontend`,
   :class:`~repro.cluster.frontend.ClusterFrontend`, and the serial
   :class:`HostBackend` baseline);

@@ -1,12 +1,10 @@
 """The ``Backend`` protocol and the serial host-CPU backend.
 
-PR 3's retry client already drove both the single-device
-:class:`~repro.service.frontend.ServiceFrontend` and the sharded
-:class:`~repro.cluster.frontend.ClusterFrontend` through an *implicit*
-``offer`` / ``advance_to`` / ``drain`` / ``result`` surface.  This module
-makes that contract explicit as :class:`Backend`, the protocol every
-execution tier speaks and the only thing a
-:class:`~repro.api.session.PimSession` needs.
+:class:`Backend` is the ``offer`` / ``advance_to`` / ``drain`` contract
+every execution tier speaks and the only thing a
+:class:`~repro.api.session.PimSession` needs.  Summaries are the
+session's job (:meth:`~repro.api.session.PimSession.report`), not the
+backend's.
 
 Three implementations exist today:
 
@@ -17,8 +15,8 @@ Three implementations exist today:
 * :class:`HostBackend` (here) — the no-PIM baseline: every scan and
   conjunction runs serially on the host CPU's cache-aware cost model.
   It admits everything (a host has no bank occupancy to protect) and
-  serves each request the instant it arrives, which is exactly the
-  single-server FIFO queue the legacy CPU pipeline modeled.
+  serves each request the instant it arrives: a single-server FIFO
+  queue.
 
 Because all three speak the protocol, the *same* client code — a
 session, a retry client, an arrival schedule — runs an identical
@@ -30,9 +28,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Protocol, runtime_checkable
 
-from repro.analysis.metrics import summarize_queue_records
 from repro.database.queries import QueryEngine
-from repro.service.frontend import PipelineResult
 from repro.service.requests import (
     BitmapConjunctionRequest,
     FrontendRequest,
@@ -48,8 +44,8 @@ class Backend(Protocol):
     A backend owns a virtual clock (``clock_ns``), admits requests with
     :meth:`offer` (returning a duck-typed envelope carrying ``admitted``,
     ``rejected_reason``, ``completed``, ``value``, ``metrics`` and the
-    wait/sojourn accounting), serves queued work as its clock advances,
-    and summarizes everything served with :meth:`result`.
+    wait/sojourn accounting), and serves queued work as its clock
+    advances.
     """
 
     clock_ns: float
@@ -70,10 +66,6 @@ class Backend(Protocol):
 
     def drain(self) -> None:
         """Serve everything queued."""
-        ...
-
-    def result(self, name: str = ...):
-        """Summarize everything served so far."""
         ...
 
 
@@ -98,10 +90,7 @@ class HostBackend:
     def __init__(self, coster: Optional[QueryEngine] = None) -> None:
         self.coster = coster or QueryEngine()
         self.clock_ns = 0.0
-        self.busy_ns = 0.0
         self.records: List[QueuedRequest] = []
-        #: Requests served (each is its own "batch": no host batching).
-        self.served = 0
 
     def offer(
         self,
@@ -128,8 +117,6 @@ class HostBackend:
         queued.metrics = metrics
         queued.value = value
         self.clock_ns = queued.finish_ns
-        self.busy_ns += metrics.latency_ns
-        self.served += 1
         return queued
 
     def _execute(self, request: FrontendRequest):
@@ -149,14 +136,3 @@ class HostBackend:
 
     def drain(self) -> None:
         """No-op: host service is synchronous, nothing is ever queued."""
-
-    def result(self, name: str = "host") -> PipelineResult:
-        """Summarize everything served so far into a :class:`PipelineResult`."""
-        metrics = summarize_queue_records(
-            name,
-            self.records,
-            makespan_ns=self.clock_ns,
-            busy_ns=self.busy_ns,
-            batches=self.served,
-        )
-        return PipelineResult(records=list(self.records), batches=[], metrics=metrics)

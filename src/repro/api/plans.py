@@ -1,15 +1,9 @@
 """The shared query-plan IR: one lowering path for every tier.
 
-Before this module existed, "how a query becomes primitive bulk
-operations" lived in three places: :meth:`QueryEngine.lower_scan` built
-:class:`~repro.service.requests.ScanRequest` envelopes,
-:meth:`BitmapIndex.lower_conjunction` expanded conjunctions into OR/AND
-chains, and the :class:`~repro.service.planner.BatchPlanner` drove the
-expansion with its own row-size bookkeeping.  The cluster tier then
-repeated the dance shard-locally through
-:class:`~repro.database.sharding.BitmapIndexShardView`.
-
-This module is the single source of truth both tiers lower through:
+"How a query becomes primitive bulk operations" is defined once, here,
+and every tier lowers through it — the single-device
+:class:`~repro.service.planner.BatchPlanner` and, shard-locally through
+:class:`~repro.database.sharding.BitmapIndexShardView`, the cluster tier:
 
 * **Specs** — :class:`ScanSpec` and :class:`ConjunctionSpec` are the
   declarative descriptions a client hands to

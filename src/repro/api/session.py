@@ -1,10 +1,8 @@
 """``PimSession``: one submit/future surface over every execution tier.
 
-Before this module, running "the same workload" against the single-device
-service tier and the sharded cluster tier meant choosing among six
-divergent :class:`~repro.database.queries.QueryEngine` entry points and
-two frontends returning five different result shapes.  A session
-collapses that to one loop::
+A session is the one way to run a workload against any tier — the
+single-device service tier, the sharded cluster tier, or the serial host
+baseline — and :meth:`PimSession.report` is the one stream summary::
 
     session = PimSession.over_cluster(num_shards=4)   # or .over_service()
     f1 = session.scan(column, "between", 10, 99, priority=1)
@@ -150,9 +148,7 @@ ResponseDetails = Union[ServiceDetails, ClusterDetails, HostDetails]
 class Response:
     """The unified outcome of one session request, identical across tiers.
 
-    Collapses the legacy ``QueryResult`` / ``BatchQueryResult`` /
-    ``PipelineResult`` / ``ClusterResult`` / ``BatchResult`` shapes: the
-    per-request fields live here, the per-stream roll-up in
+    The per-request fields live here, the per-stream roll-up in
     :class:`SessionReport`.
 
     Attributes:
@@ -377,8 +373,7 @@ class PimSession:
             the protocol).
         coster: Host-side query cost model for the epilogue (popcount +
             materialization).  Defaults to a :class:`QueryEngine` sharing
-            the backend's engine, so session responses price epilogues
-            exactly as the legacy entry points did.
+            the backend's engine.
         name: Default label of this session's reports.
         observe: Observability plane (``repro.obs``): ``True`` binds a
             fresh recording :class:`~repro.obs.Observer` to the backend
@@ -606,9 +601,10 @@ class PimSession:
     def submit_stream(self, events: Iterable[ArrivalEvent]) -> List[Future]:
         """Submit a whole arrival stream; futures come back in event order.
 
-        Arrivals are processed in virtual-time order (the backend serves
-        whatever its policy closes between them), exactly like the
-        frontends' own ``run`` loops.
+        Arrivals are processed in virtual-time order: before each offer
+        the backend advances to the arrival, serving whatever its policy
+        closes in between.  Follow with :meth:`drain` and :meth:`report`
+        to serve and summarize the whole stream.
         """
         events = list(events)
         futures: List[Optional[Future]] = [None] * len(events)
@@ -788,8 +784,7 @@ class PimSession:
         under lane pipelining that is the busy-union the batch *added*,
         so completion time a batch spent overlapped with its predecessor
         on other banks is never double-counted; for a batch-synchronous
-        backend it is exactly the batch makespan, the single-session
-        legacy accounting.
+        backend it is exactly the batch makespan.
         """
         own_serial: Dict[int, float] = {}
         for record in completed:
@@ -834,8 +829,7 @@ class PimSession:
     def _submit(self, spec, request, kind, priority, deadline_ns, at_ns) -> Future:
         arrival = self.backend.clock_ns if at_ns is None else float(at_ns)
         # Serve whatever the policy closes before this arrival, so
-        # admission sees the live queue — identical to the frontends'
-        # own run() loops.
+        # admission sees the live queue.
         self.backend.advance_to(arrival)
         record = self.backend.offer(
             request, priority=priority, deadline_ns=deadline_ns, arrival_ns=arrival

@@ -36,13 +36,12 @@ from repro.cluster.faults import (
     FaultTrigger,
     kill_revive_schedule,
 )
-from repro.cluster.frontend import ClusterFrontend, ClusterRecord, ClusterResult
+from repro.cluster.frontend import ClusterFrontend, ClusterRecord
 from repro.cluster.router import PlacementUnavailable, ShardRouter
 
 __all__ = [
     "ClusterFrontend",
     "ClusterRecord",
-    "ClusterResult",
     "ControllerPolicy",
     "ElasticController",
     "FaultEvent",

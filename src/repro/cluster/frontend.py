@@ -39,12 +39,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
-from repro.analysis.metrics import ClusterMetrics, OperationMetrics, combine_serial
+from repro.analysis.metrics import OperationMetrics, combine_serial
 from repro.cache.result_cache import ResultCache
 from repro.cluster.faults import FaultPlan
 from repro.cluster.router import PlacementUnavailable, ShardRouter
@@ -52,7 +52,7 @@ from repro.database.bitmap_index import BitmapIndex
 from repro.database.sharding import BitmapIndexShardView
 from repro.obs import Observer, resolve_observe
 from repro.service.executor import BatchExecutor
-from repro.service.frontend import ArrivalEvent, PipelineResult, ServiceFrontend
+from repro.service.frontend import ServiceFrontend
 from repro.service.planner import BatchPolicy
 from repro.service.requests import (
     BitmapConjunctionRequest,
@@ -190,30 +190,6 @@ class ClusterRecord:
             and self.completed
             and self.finish_ns > self.deadline_ns + 1e-9
         )
-
-
-@dataclass
-class ClusterResult:
-    """Outcome of serving a request stream through the cluster.
-
-    Attributes:
-        records: Every offered cluster request's envelope, in offer order.
-        per_shard: Each shard frontend's own pipeline result.
-        metrics: The cluster roll-up (utilization, imbalance, fan-out,
-            aggregate percentiles).
-    """
-
-    records: List[ClusterRecord] = field(default_factory=list)
-    per_shard: List[PipelineResult] = field(default_factory=list)
-    metrics: Optional[ClusterMetrics] = None
-
-    def completed(self) -> List[ClusterRecord]:
-        """Envelopes that finished service, in offer order."""
-        return [r for r in self.records if r.completed]
-
-    def rejected(self) -> List[ClusterRecord]:
-        """Envelopes refused by admission control, in offer order."""
-        return [r for r in self.records if not r.admitted]
 
 
 def _default_engine_factory() -> AmbitEngine:
@@ -1128,26 +1104,8 @@ class ClusterFrontend:
             "copy_ns": self.copy_ns_total,
         }
 
-    def run(self, events: Iterable[ArrivalEvent], name: str = "cluster") -> ClusterResult:
-        """Serve a whole arrival stream across the cluster.
-
-        Arrivals are processed in global order; every shard serves the
-        batches its own policy closes before each arrival, so routing
-        reads shard loads as they stand at the arrival instant.
-        """
-        for event in sorted(events, key=lambda e: e.arrival_ns):
-            self.advance_to(event.arrival_ns)
-            self.offer(
-                event.request,
-                priority=event.priority,
-                deadline_ns=event.deadline_ns,
-                arrival_ns=event.arrival_ns,
-            )
-        self.drain()
-        return self.result(name)
-
     # ------------------------------------------------------------------
-    # Gather and reporting
+    # Gather
     # ------------------------------------------------------------------
     def _gather(self, record: ClusterRecord) -> None:
         """Merge a completed record's shard parts into its final value."""
@@ -1195,14 +1153,12 @@ class ClusterFrontend:
         record.metrics = merged
         self._obs_gathered(record, tree_depth=tree_depth)
 
-    def gather(self) -> int:
-        """Gather every finished record (public hook for sessions/futures);
-        returns the total host merge count so far."""
-        return self._finalize_records()
+    def gather(self) -> None:
+        """Gather every finished record (public hook for sessions/futures)."""
+        self._finalize_records()
 
-    def _finalize_records(self) -> int:
-        """Sync scatter failures and gather finished records; host merges."""
-        merge_ops = 0
+    def _finalize_records(self) -> None:
+        """Sync scatter failures and gather finished records."""
         for record in self.records:
             # A part shed after admission sinks the whole scatter: mark the
             # record rejected and withdraw siblings still queued (siblings
@@ -1219,25 +1175,5 @@ class ClusterFrontend:
                         status="rejected", reason=record.rejected_reason
                     )
                     self.obs.metrics.counter("cluster.rejected").inc()
-            if record.completed:
-                if math.isnan(record.finish_ns):
-                    self._gather(record)
-                merge_ops += max(0, len(record.parts) - 1)
-        return merge_ops
-
-    def result(self, name: str = "cluster") -> ClusterResult:
-        """Gather all finished records and roll up cluster metrics."""
-        merge_ops = self._finalize_records()
-        per_shard = [
-            shard.result(f"{name}/shard{i}") for i, shard in enumerate(self.shards)
-        ]
-        metrics = ClusterMetrics.from_records(
-            name,
-            self.records,
-            [r.metrics for r in per_shard],
-            merge_ops=merge_ops,
-            elastic=self.elastic_summary(),
-        )
-        return ClusterResult(
-            records=list(self.records), per_shard=per_shard, metrics=metrics
-        )
+            if record.completed and math.isnan(record.finish_ns):
+                self._gather(record)

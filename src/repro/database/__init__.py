@@ -20,7 +20,7 @@ comparison that produces the paper's 2x–12x query-latency reduction (E4).
 from repro.database.tables import ColumnTable, generate_sales_table
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
-from repro.database.queries import QueryEngine, QueryResult, ScanBackend
+from repro.database.queries import QueryEngine
 from repro.database.sharding import BitmapIndexShardView, TableShardView
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "BitmapIndexShardView",
     "ColumnTable",
     "QueryEngine",
-    "QueryResult",
-    "ScanBackend",
     "TableShardView",
     "generate_sales_table",
 ]

@@ -1,4 +1,4 @@
-"""Query execution backends: CPU vs. Ambit for the bulk bitwise portion.
+"""Query cost model: CPU vs. Ambit for the bulk bitwise portion.
 
 A query in this substrate has three parts:
 
@@ -8,84 +8,26 @@ A query in this substrate has three parts:
 3. the **materialization** — gathering the matching rows' payload columns
    (proportional to the selectivity).
 
-Parts 2 and 3 always execute on the host CPU; part 1 executes on the chosen
-:class:`ScanBackend`.  The CPU scan backend is cache-aware: when the bit
-vectors involved fit in the last-level cache, bulk bitwise operations run at
-cache bandwidth, and the Ambit advantage shrinks — which is exactly why the
-paper's query-latency reduction grows with the data-set size (E4).
+Parts 2 and 3 always execute on the host CPU; part 1 executes on the host
+(:class:`~repro.api.backends.HostBackend`) or on Ambit (the service and
+cluster tiers).  :class:`QueryEngine` prices all three; queries themselves
+run through :class:`~repro.api.session.PimSession`.  The CPU scan cost is
+cache-aware: when the bit vectors involved fit in the last-level cache, bulk
+bitwise operations run at cache bandwidth, and the Ambit advantage shrinks —
+which is exactly why the paper's query-latency reduction grows with the
+data-set size (E4).
 """
 
 from __future__ import annotations
 
-import enum
-import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, Optional, Union
 
 from repro.ambit.engine import AmbitEngine
 from repro.analysis.metrics import OperationMetrics
-from repro.database.bitmap_index import BitmapIndex, BitmapPlan
-from repro.database.bitweaving import BitWeavingColumn, ScanPlan
+from repro.database.bitmap_index import BitmapPlan
+from repro.database.bitweaving import ScanPlan
 from repro.hostsim.cpu import HostCpu
-
-
-class ScanBackend(enum.Enum):
-    """Where the bulk bitwise operations of a scan execute."""
-
-    CPU = "cpu"
-    AMBIT = "ambit"
-
-
-@dataclass
-class QueryResult:
-    """Outcome of one query execution.
-
-    Attributes:
-        backend: Scan backend used.
-        matching_rows: COUNT(*) of the predicate.
-        latency_ns: End-to-end query latency.
-        energy_j: End-to-end energy.
-        breakdown: Latency components (scan / aggregate / materialize), ns.
-    """
-
-    backend: ScanBackend
-    matching_rows: int
-    latency_ns: float
-    energy_j: float
-    breakdown: Dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
-class BatchQueryResult:
-    """Outcome of a batch of queries executed through the service layer.
-
-    Attributes:
-        results: Per-query results, in submission order.
-        serial_latency_ns: Latency of running the queries one at a time.
-        latency_ns: Batched latency (scan makespan with bank-level overlap,
-            plus the host epilogues, which stay serial on the CPU).
-        energy_j: Total energy (identical to sequential execution).
-        request_indices: ``request_indices[k]`` is the position, in the
-            submitted query sequence, of the query that produced
-            ``results[k]``.  The identity mapping unless admission control
-            rejected some queries (pipeline entry points only); empty for
-            entry points that always serve everything.
-    """
-
-    results: List[QueryResult] = field(default_factory=list)
-    serial_latency_ns: float = 0.0
-    latency_ns: float = 0.0
-    energy_j: float = 0.0
-    request_indices: List[int] = field(default_factory=list)
-
-    @property
-    def batching_speedup(self) -> float:
-        """Serial over batched latency (>1 means batching helped)."""
-        if self.latency_ns <= 0:
-            return 1.0
-        return self.serial_latency_ns / self.latency_ns
 
 
 @dataclass(frozen=True)
@@ -112,7 +54,11 @@ class QueryCostParameters:
 
 
 class QueryEngine:
-    """Executes bitmap-index and BitWeaving scans on a chosen backend.
+    """Prices bitmap-index and BitWeaving scans on the host CPU or on Ambit.
+
+    The host cost model behind :class:`~repro.api.backends.HostBackend`
+    (:meth:`cpu_scan_cost`) and every session's query epilogue
+    (:meth:`epilogue_cost`).
 
     Args:
         cpu: Host CPU model (provides bandwidth and energy parameters).
@@ -129,10 +75,6 @@ class QueryEngine:
         self.cpu = cpu or HostCpu()
         self.ambit = ambit or AmbitEngine()
         self.cost = cost or QueryCostParameters()
-        # One cached backend per tier for the deprecated shims, so a
-        # caller looping a legacy entry point does not rebuild the
-        # executor/pool machinery per query.
-        self._shim_backends: Dict[ScanBackend, object] = {}
 
     # ------------------------------------------------------------------
     # Scan-cost models
@@ -230,424 +172,3 @@ class QueryEngine:
             bytes_moved_on_channel=vector_bytes + materialize_bytes,
             bytes_produced=materialize_bytes,
         )
-
-    # ------------------------------------------------------------------
-    # Query execution
-    # ------------------------------------------------------------------
-    def execute_scan(
-        self,
-        result_bitmap: np.ndarray,
-        plan: Union[ScanPlan, BitmapPlan],
-        num_rows: int,
-        backend: ScanBackend,
-    ) -> QueryResult:
-        """Attribute cost to an already-evaluated scan result.
-
-        Args:
-            result_bitmap: Packed result bits of the predicate (functional
-                output of the bitmap index or BitWeaving column).
-            plan: The bulk-operation plan that produced the result.
-            num_rows: Rows in the table.
-            backend: Where the bulk operations execute.
-        """
-        matching = BitmapIndex.count(result_bitmap, num_rows)
-        if backend is ScanBackend.CPU:
-            scan_cost = self.cpu_scan_cost(plan)
-        else:
-            scan_cost = self.ambit_scan_cost(plan)
-        epilogue = self.epilogue_cost(num_rows, matching)
-        return QueryResult(
-            backend=backend,
-            matching_rows=matching,
-            latency_ns=scan_cost.latency_ns + epilogue.latency_ns,
-            energy_j=scan_cost.energy_j + epilogue.energy_j,
-            breakdown={
-                "scan_ns": scan_cost.latency_ns,
-                "epilogue_ns": epilogue.latency_ns,
-            },
-        )
-
-    # ------------------------------------------------------------------
-    # Unified-API plumbing (sessions over the same cost models)
-    # ------------------------------------------------------------------
-    def _shim_backend(self, backend: ScanBackend):
-        """The cached per-tier backend the deprecated shims submit to.
-
-        CPU queries run through one serial :class:`HostBackend` (priced
-        by :meth:`cpu_scan_cost`); Ambit queries through one
-        :class:`ServiceFrontend` over ``self.ambit``.  The backend lives
-        for the engine's lifetime (its virtual clock simply keeps
-        advancing across calls; every shim reports through a per-call
-        session window, so reuse is invisible in the results).  Caching
-        keeps the executor/rowclone/pool *objects*; per-call state —
-        request records, batches, pooled device rows — is handed back by
-        :meth:`_release_shim_session` so looped legacy calls neither
-        grow memory nor pin rows on a possibly-shared engine.
-        """
-        cached = self._shim_backends.get(backend)
-        if cached is None:
-            if backend is ScanBackend.CPU:
-                from repro.api.backends import HostBackend  # local: avoid cycle
-
-                cached = HostBackend(coster=self)
-            else:
-                from repro.service.executor import BatchExecutor  # local: avoid cycle
-                from repro.service.frontend import ServiceFrontend  # local: avoid cycle
-
-                cached = ServiceFrontend(executor=BatchExecutor(engine=self.ambit))
-            self._shim_backends[backend] = cached
-        return cached
-
-    def _one_shot_session(
-        self,
-        backend: ScanBackend,
-        size: int = 1,
-        functional: bool = False,
-        single_batch: bool = True,
-    ) -> "PimSession":
-        """A per-call session window over the cached shim backend.
-
-        With ``single_batch`` (the shape the legacy batch entry points
-        produced) the policy admits the whole workload as one batch;
-        otherwise the default size-32 policy applies, as the legacy
-        pipeline paths had it.
-        """
-        from repro.api.session import PimSession  # local: avoid cycle
-        from repro.service.planner import BatchPolicy  # local: avoid cycle
-
-        frontend = self._shim_backend(backend)
-        if backend is ScanBackend.AMBIT:
-            frontend.functional = functional
-            frontend.planner.policy.max_batch = (
-                max(1, size) if single_batch else BatchPolicy().max_batch
-            )
-            frontend.max_queue_depth = max(64, size)
-        return PimSession(frontend, coster=self)
-
-    @staticmethod
-    def _release_shim_session(session: "PimSession") -> None:
-        """Hand back a legacy call's per-call state from the cached backend.
-
-        The legacy entry points built one-shot frontends that were
-        garbage-collected after each call; the cached backend must match
-        that: records and batches (which pin result bitmaps) are dropped,
-        and pooled device rows go back to the engine's allocator — the
-        shims never retain rows on a possibly-shared engine, exactly as
-        the old one-shot schedulers promised.  Only the construction of
-        the executor machinery is amortized by the cache.
-        """
-        backend = session.backend
-        backend.records.clear()
-        if hasattr(backend, "batches"):
-            backend.batches.clear()
-        if hasattr(backend, "executor"):
-            backend.executor.pool.drain()
-
-    @staticmethod
-    def _query_result(backend: ScanBackend, response) -> QueryResult:
-        """Map a unified :class:`~repro.api.session.Response` to the legacy shape."""
-        return QueryResult(
-            backend=backend,
-            matching_rows=response.matching_rows,
-            latency_ns=response.latency_ns,
-            energy_j=response.energy_j,
-            breakdown=dict(response.breakdown),
-        )
-
-    def _assemble_batch(
-        self, backend: ScanBackend, futures, metrics, request_indices: bool = False
-    ) -> BatchQueryResult:
-        """Fold completed session futures into the legacy batch shape.
-
-        Rejected requests produce no entry; with ``request_indices`` the
-        result-to-query mapping stays intact across the gaps (the pipeline
-        entry points' contract).
-        """
-        batch = BatchQueryResult()
-        epilogue_serial_ns = 0.0
-        for i, future in enumerate(futures):
-            if not future.done():
-                continue
-            response = future.result()
-            epilogue_serial_ns += response.breakdown["epilogue_ns"]
-            batch.results.append(self._query_result(backend, response))
-            if request_indices:
-                batch.request_indices.append(i)
-            batch.energy_j += response.energy_j
-        batch.serial_latency_ns = metrics.serial_latency_ns + epilogue_serial_ns
-        batch.latency_ns = metrics.busy_ns + epilogue_serial_ns
-        return batch
-
-    @staticmethod
-    def _warn_deprecated(old: str, new: str) -> None:
-        warnings.warn(
-            f"QueryEngine.{old} is deprecated; use the unified client API "
-            f"instead ({new})",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    # ------------------------------------------------------------------
-    # Deprecated entry points (thin shims over PimSession)
-    # ------------------------------------------------------------------
-    def range_count_query(
-        self,
-        column: BitWeavingColumn,
-        low: int,
-        high: int,
-        backend: ScanBackend,
-    ) -> QueryResult:
-        """``SELECT COUNT(*) WHERE low <= col <= high`` on the chosen backend.
-
-        .. deprecated:: use ``PimSession.range_count`` instead.
-        """
-        self._warn_deprecated("range_count_query", "PimSession.range_count")
-        session = self._one_shot_session(backend)
-        future = session.range_count(column, low, high)
-        response = future.result()
-        self._release_shim_session(session)
-        return self._query_result(backend, response)
-
-    def bitmap_conjunction_query(
-        self,
-        index: BitmapIndex,
-        predicates,
-        backend: ScanBackend,
-    ) -> QueryResult:
-        """``SELECT COUNT(*) WHERE col1 IN (...) AND col2 IN (...)`` query.
-
-        .. deprecated:: use ``PimSession.conjunction`` instead.
-        """
-        self._warn_deprecated("bitmap_conjunction_query", "PimSession.conjunction")
-        session = self._one_shot_session(backend)
-        future = session.conjunction(index, predicates)
-        response = future.result()
-        self._release_shim_session(session)
-        return self._query_result(backend, response)
-
-    def scan_query_batch(
-        self,
-        scans: Sequence[Tuple[BitWeavingColumn, str, Tuple[int, ...]]],
-        backend: ScanBackend,
-        functional: bool = False,
-    ) -> BatchQueryResult:
-        """Execute many predicate scans as one batch on the chosen backend.
-
-        .. deprecated:: submit ``PimSession.scan`` futures and read
-           ``session.report()`` instead.
-
-        On the Ambit backend the scans run as one frontend batch, so scans
-        over columns in different banks overlap; on the CPU backend they
-        simply run back to back (a single host core offers no such
-        overlap).  The per-query results, matching counts, and total
-        energy are identical to running each query alone.
-
-        Args:
-            scans: (column, kind, constants) triples; ``kind`` is one of
-                ``less_than, less_equal, equal, between``.
-            backend: Where the bulk bitwise operations execute.
-            functional: On the Ambit backend, execute the scans on the
-                simulated banks rather than analytically.
-        """
-        self._warn_deprecated("scan_query_batch", "PimSession.scan")
-        return self._scan_query_batch_impl(scans, backend, functional=functional)
-
-    def _scan_query_batch_impl(
-        self, scans, backend: ScanBackend, functional: bool = False
-    ) -> BatchQueryResult:
-        session = self._one_shot_session(backend, size=len(scans), functional=functional)
-        futures = [
-            session.scan(column, kind, *constants) for column, kind, constants in scans
-        ]
-        session.drain()
-        report = session.report("scan_query_batch")
-        batch = self._assemble_batch(backend, futures, report.details)
-        self._release_shim_session(session)
-        return batch
-
-    def range_count_query_batch(
-        self,
-        ranges: Sequence[Tuple[BitWeavingColumn, int, int]],
-        backend: ScanBackend,
-        functional: bool = False,
-    ) -> BatchQueryResult:
-        """Batched ``SELECT COUNT(*) WHERE low <= col <= high`` queries.
-
-        .. deprecated:: submit ``PimSession.range_count`` futures instead.
-        """
-        self._warn_deprecated("range_count_query_batch", "PimSession.range_count")
-        scans = [(column, "between", (low, high)) for column, low, high in ranges]
-        return self._scan_query_batch_impl(scans, backend, functional=functional)
-
-    # ------------------------------------------------------------------
-    # Lowering hooks (delegate to the shared plan IR)
-    # ------------------------------------------------------------------
-    def lower_scan(self, column: BitWeavingColumn, kind: str, constants) -> "ScanRequest":
-        """Lower one predicate scan to a primitive service request.
-
-        Delegates to the shared plan IR (:class:`repro.api.plans
-        .ScanSpec`).  The service planner's latency model and the executor
-        share the request's cached (result, plan) evaluation, so lowering
-        here means the scan is priced exactly as :meth:`ambit_scan_cost`
-        prices it.
-        """
-        from repro.api.plans import ScanSpec  # local: avoid cycle
-
-        return ScanSpec(column=column, kind=kind, constants=tuple(constants)).to_request()
-
-    def lower_conjunction(self, index: BitmapIndex, predicates) -> "BitmapConjunctionRequest":
-        """Lower a bitmap conjunction to a high-level service request.
-
-        Delegates to the shared plan IR (:class:`repro.api.plans
-        .ConjunctionSpec`).  The planner expands it into the OR/AND chain
-        of primitive bulk operations via
-        :func:`repro.api.plans.lower_conjunction_steps`; the chain's
-        charged cost equals :meth:`ambit_scan_cost` of the conjunction's
-        :class:`BitmapPlan`.
-        """
-        from repro.api.plans import ConjunctionSpec  # local: avoid cycle
-
-        return ConjunctionSpec(
-            index=index,
-            predicates=tuple((column, tuple(values)) for column, values in predicates),
-        ).to_request()
-
-    def scan_query_pipeline(
-        self,
-        scans: Sequence[Tuple[BitWeavingColumn, str, Tuple[int, ...]]],
-        backend: ScanBackend,
-        rate_per_s: float = 1e6,
-        seed: int = 0,
-        priorities: Optional[Sequence[int]] = None,
-        deadline_slack_ns: Optional[float] = None,
-        functional: Optional[bool] = None,
-        frontend: Optional["ServiceFrontend"] = None,
-    ) -> Tuple[BatchQueryResult, "QueueMetrics"]:
-        """Serve predicate scans through the admission-controlled pipeline.
-
-        .. deprecated:: build a ``PimSession`` over the frontend and use
-           ``session.submit_stream`` + ``session.report`` instead.
-
-        Scans arrive as a Poisson process at ``rate_per_s`` (starting at
-        the frontend's current virtual clock) and are shaped into batches
-        by the service frontend.  On the Ambit backend the batches overlap
-        across banks; on the CPU backend requests are served one at a time
-        in arrival order through the same queueing accounting.  Per-query
-        matching counts, scan values, and total energy are identical to
-        sequential execution on either backend.
-
-        Args:
-            functional: Execute on the simulated banks.  None (the
-                default) keeps a caller-supplied frontend's own setting
-                (False for the built-in frontend); passing a bool applies
-                it for this call only.
-
-        Returns:
-            (batched query results, queueing metrics).
-        """
-        self._warn_deprecated(
-            "scan_query_pipeline", "PimSession.submit_stream + PimSession.report"
-        )
-        from repro.api.session import PimSession  # local: avoid cycle
-        from repro.service.frontend import poisson_schedule  # local: avoid cycle
-
-        requests = [
-            self.lower_scan(column, kind, constants) for column, kind, constants in scans
-        ]
-
-        if backend is ScanBackend.CPU:
-            session = self._one_shot_session(backend)
-            events = poisson_schedule(
-                requests,
-                rate_per_s=rate_per_s,
-                seed=seed,
-                priorities=priorities,
-                deadline_slack_ns=deadline_slack_ns,
-                # The cached host backend's clock keeps advancing across
-                # calls; arrivals stamped before it would be charged
-                # phantom waits.
-                start_ns=session.backend.clock_ns,
-            )
-            futures = session.submit_stream(events)
-            report = session.report("scan_query_pipeline_cpu")
-            batch = self._assemble_batch(backend, futures, report.details)
-            self._release_shim_session(session)
-            return batch, report.details
-
-        local_frontend = frontend is None
-        if local_frontend:
-            # The default (cached) frontend admits the whole workload;
-            # callers that want admission control (bounded queue /
-            # occupancy) pass their own and read the rejections off the
-            # returned metrics.
-            from repro.service.planner import BatchPolicy  # local: avoid cycle
-
-            session = PimSession(
-                self._shim_backend(ScanBackend.AMBIT), coster=self
-            )
-            frontend = session.backend
-            frontend.max_queue_depth = max(64, len(scans))
-            frontend.planner.policy.max_batch = BatchPolicy().max_batch
-            frontend.functional = False  # the built-in default; see below
-        else:
-            # The session snapshots the reused frontend, so the report
-            # covers this call only.  Arrivals start at the frontend's
-            # clock: stamping them at t=0 on a reused frontend would count
-            # all prior traffic as wait time and void arrival-relative
-            # deadlines.
-            session = PimSession(frontend, coster=self)
-        events = poisson_schedule(
-            requests,
-            rate_per_s=rate_per_s,
-            seed=seed,
-            priorities=priorities,
-            deadline_slack_ns=deadline_slack_ns,
-            start_ns=frontend.clock_ns,
-        )
-        # Restore the functional flag, which this call merely borrows.
-        prior_functional = frontend.functional
-        if functional is not None:
-            frontend.functional = functional
-        try:
-            futures = session.submit_stream(events)
-            session.drain()
-        finally:
-            frontend.functional = prior_functional
-        report = session.report("scan_query_pipeline")
-        batch = self._assemble_batch(
-            backend, futures, report.details, request_indices=True
-        )
-        if local_frontend:
-            self._release_shim_session(session)
-        return batch, report.details
-
-    def bitmap_conjunction_query_batch(
-        self,
-        index: BitmapIndex,
-        conjunctions: Sequence[Sequence[Tuple[str, Sequence[int]]]],
-        backend: ScanBackend,
-        functional: bool = False,
-    ) -> BatchQueryResult:
-        """Batched bitmap-conjunction queries through the service pipeline.
-
-        .. deprecated:: submit ``PimSession.conjunction`` futures instead.
-
-        On the Ambit backend each conjunction is lowered to its OR/AND
-        chain of primitive bulk operations and executed through the batch
-        pipeline (chains of different conjunctions may overlap across
-        banks; each chain serializes on its own banks).  Per-query counts,
-        latencies, and energies are identical to
-        :meth:`bitmap_conjunction_query`.
-        """
-        self._warn_deprecated("bitmap_conjunction_query_batch", "PimSession.conjunction")
-        session = self._one_shot_session(
-            backend, size=len(conjunctions), functional=functional, single_batch=False
-        )
-        futures = [session.conjunction(index, predicates) for predicates in conjunctions]
-        session.drain()
-        report = session.report("bitmap_conjunctions")
-        batch = self._assemble_batch(
-            backend, futures, report.details, request_indices=(backend is ScanBackend.AMBIT)
-        )
-        self._release_shim_session(session)
-        return batch

@@ -10,8 +10,8 @@ BitWeaving predicate scans, RowClone copies, bitmap-index conjunctions):
 * :class:`BatchExecutor` — pure execution with bank-level overlap (LPT
   makespan scheduling), operation fusion, and allocation reuse.
 
-:class:`BatchScheduler` remains as the one-shot facade for callers that
-hand-build their own batches.
+Callers that hand-build one batch call :meth:`BatchExecutor.run` directly;
+streams go through :class:`~repro.api.session.PimSession` over a frontend.
 """
 
 from repro.service.client import BackoffPolicy, RetryClient, RetryOutcome, RetryRecord
@@ -19,10 +19,8 @@ from repro.service.executor import BatchExecutor
 from repro.service.lanes import HOST_LANE, LaneSchedule
 from repro.service.frontend import (
     ArrivalEvent,
-    PipelineResult,
     ServiceFrontend,
     poisson_schedule,
-    summarize_records,
     trace_schedule,
 )
 from repro.service.planner import BatchPlanner, BatchPolicy, LoweredGroup
@@ -38,7 +36,6 @@ from repro.service.requests import (
     SCAN_KINDS,
     ScanRequest,
 )
-from repro.service.scheduler import BatchScheduler
 
 __all__ = [
     "ArrivalEvent",
@@ -47,7 +44,6 @@ __all__ = [
     "BatchPlanner",
     "BatchPolicy",
     "BatchResult",
-    "BatchScheduler",
     "BitmapConjunctionRequest",
     "BulkOpRequest",
     "CopyRequest",
@@ -55,7 +51,6 @@ __all__ = [
     "HOST_LANE",
     "LaneSchedule",
     "LoweredGroup",
-    "PipelineResult",
     "QueuedRequest",
     "RequestResult",
     "RetryClient",
@@ -66,6 +61,5 @@ __all__ = [
     "ServiceFrontend",
     "VectorPool",
     "poisson_schedule",
-    "summarize_records",
     "trace_schedule",
 ]

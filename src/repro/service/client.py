@@ -2,7 +2,7 @@
 
 Admission control turns overload into rejections; a real client does not
 let its request vanish — it backs off exponentially and offers it again.
-:class:`RetryClient` models exactly that on the frontend's virtual clock:
+:class:`RetryClient` models exactly that on the backend's virtual clock:
 every rejected offer is rescheduled ``base_ns * multiplier**attempt``
 later (with optional seeded jitter to de-synchronize retry storms), up to
 ``max_attempts`` total tries.  The deadline, priority, and the request
@@ -17,28 +17,25 @@ virtual clock and independent of the order retries interleave — exactly
 what keeps a post-failure retry storm from re-spiking the surviving
 shards in lockstep.
 
-The client drives anything that speaks the
-:class:`~repro.api.backends.Backend` protocol (``offer`` /
-``advance_to`` / ``drain`` / ``result``) — the single-device
-:class:`~repro.service.frontend.ServiceFrontend`, the sharded
-:class:`~repro.cluster.frontend.ClusterFrontend`, the serial
-:class:`~repro.api.backends.HostBackend` — or a
-:class:`~repro.api.session.PimSession` wrapping any of them.
+The client drives a :class:`~repro.api.session.PimSession` over any
+tier — the single-device :class:`~repro.service.frontend.ServiceFrontend`,
+the sharded :class:`~repro.cluster.frontend.ClusterFrontend`, the serial
+:class:`~repro.api.backends.HostBackend` — and reports through the
+session's :meth:`~repro.api.session.PimSession.report`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.service.frontend import ArrivalEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.backends import Backend
-    from repro.api.session import PimSession
+    from repro.api.session import PimSession, SessionReport
 
 
 @dataclass
@@ -69,28 +66,20 @@ class BackoffPolicy:
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
 
-    def delay_ns(
-        self,
-        attempt: int,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        seed: int = 0,
-        key: int = 0,
-    ) -> float:
+    def delay_ns(self, attempt: int, *, seed: int = 0, key: int = 0) -> float:
         """Backoff before retry number ``attempt`` (1-based).
 
-        Jitter draws come from ``rng`` when given (legacy shared-stream
-        mode), else from a generator keyed on ``(seed, key, attempt)`` —
-        every (request, attempt) pair gets its own deterministic draw,
-        independent of the order retries pop off the virtual-time heap.
+        Jitter draws come from a generator keyed on ``(seed, key,
+        attempt)``: every (request, attempt) pair gets its own
+        deterministic draw, independent of the order retries pop off the
+        virtual-time heap.
         Keyed jitter is what de-synchronizes the retry storm after a
         shard failure: the victims' re-offers spread over the backoff
         window instead of landing on the survivors in one spike.
         """
         delay = self.base_ns * self.multiplier ** (attempt - 1)
         if self.jitter > 0.0:
-            if rng is None:
-                rng = np.random.default_rng((seed, key, attempt))
+            rng = np.random.default_rng((seed, key, attempt))
             delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return delay
 
@@ -101,7 +90,7 @@ class RetryRecord:
 
     Attributes:
         event: The original arrival.
-        attempts: The frontend envelope of every offer, in attempt order
+        attempts: The backend envelope of every offer, in attempt order
             (the last one is the final outcome).
     """
 
@@ -134,11 +123,11 @@ class RetryOutcome:
     """Outcome of serving a stream through a retrying client.
 
     Attributes:
-        result: The frontend's own pipeline/cluster result.
+        result: The session's report over every attempt.
         records: Per logical request, its attempts.
     """
 
-    result: object
+    result: Optional["SessionReport"]
     records: List[RetryRecord] = field(default_factory=list)
 
     @property
@@ -160,32 +149,22 @@ class RetryOutcome:
 
 
 class RetryClient:
-    """Drives a backend, re-offering rejected requests after backoff.
+    """Drives a session, re-offering rejected requests after backoff.
 
     Args:
-        frontend: Any :class:`~repro.api.backends.Backend` — a
-            :class:`ServiceFrontend`, a
-            :class:`~repro.cluster.frontend.ClusterFrontend`, a
-            :class:`~repro.api.backends.HostBackend` — or a
-            :class:`~repro.api.session.PimSession`, whose backend is
-            driven directly (the session's own futures/report stay
-            consistent, since both share the backend's records).
+        session: The :class:`~repro.api.session.PimSession` to offer
+            through; every attempt becomes one of its futures.
         policy: Backoff schedule (defaults to 5 µs doubling, 4 attempts).
         seed: Seed of the jitter draws.
     """
 
     def __init__(
         self,
-        frontend: Union["Backend", "PimSession"],
+        session: "PimSession",
         policy: Optional[BackoffPolicy] = None,
         seed: int = 0,
     ) -> None:
-        from repro.api.session import PimSession  # local: avoid cycle
-
-        # A PimSession wraps its backend; unwrap it explicitly.  Any
-        # other object — including custom Backend decorators that happen
-        # to carry a `backend` attribute — is driven as given.
-        self.frontend = frontend.backend if isinstance(frontend, PimSession) else frontend
+        self.session = session
         self.policy = policy or BackoffPolicy()
         self.seed = seed
         #: Retries skipped because the remaining deadline slack could not
@@ -196,7 +175,7 @@ class RetryClient:
         """Serve a stream, retrying rejections, and report both views.
 
         Offers are processed in virtual-time order across first offers and
-        retries together; the frontend serves batches in between exactly
+        retries together; the backend serves batches in between exactly
         as it would for a plain arrival stream.
         """
         outcome = RetryOutcome(result=None)
@@ -207,21 +186,18 @@ class RetryClient:
             heapq.heappush(heap, (event.arrival_ns, i, 1, record))
         while heap:
             offer_ns, key, attempt, record = heapq.heappop(heap)
-            self.frontend.advance_to(offer_ns)
-            envelope = self.frontend.offer(
+            envelope = self.session.submit(
                 record.event.request,
                 priority=record.event.priority,
                 deadline_ns=record.event.deadline_ns,
-                arrival_ns=offer_ns,
-            )
+                at_ns=offer_ns,
+            ).record
             record.attempts.append(envelope)
             if not envelope.admitted and attempt < self.policy.max_attempts:
                 # Jitter is keyed per (request, attempt): deterministic,
                 # order-independent, and de-synchronized across victims
                 # of the same shard failure.
-                delay = self.policy.delay_ns(
-                    attempt, seed=self.seed, key=key
-                )
+                delay = self.policy.delay_ns(attempt, seed=self.seed, key=key)
                 deadline = record.event.deadline_ns
                 if deadline is not None and offer_ns + delay >= deadline:
                     # The remaining slack cannot cover the backoff: the
@@ -230,6 +206,6 @@ class RetryClient:
                     self.deadline_exhausted += 1
                     continue
                 heapq.heappush(heap, (offer_ns + delay, key, attempt + 1, record))
-        self.frontend.drain()
-        outcome.result = self.frontend.result(name)
+        self.session.drain()
+        outcome.result = self.session.report(name)
         return outcome

@@ -38,7 +38,10 @@ the rest of the stack: arrivals happen at their timestamps, and requests
 arriving during service are admitted (against the live queue) before the
 next batch closes.  Per-request wait and sojourn times, deadline misses,
 and rejections are summarized in
-:class:`~repro.analysis.metrics.QueueMetrics`.
+:class:`~repro.analysis.metrics.QueueMetrics` by
+:meth:`repro.api.session.PimSession.report`, the one stream surface:
+a session submits arrivals in time order, advancing the frontend to each
+arrival before offering it.
 
 **Lane pipelining.**  With a pipelined executor (the default), serving a
 batch does *not* occupy the clock for the batch's makespan: the batch is
@@ -61,12 +64,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.analysis.metrics import LaneMetrics, QueueMetrics, summarize_queue_records
+from repro.analysis.metrics import LaneMetrics
 from repro.cache.result_cache import ResultCache, resolve_cache
 from repro.obs import Observer, resolve_observe
 from repro.service.executor import BatchExecutor
@@ -156,51 +159,6 @@ def trace_schedule(
             )
         )
     return events
-
-
-@dataclass
-class PipelineResult:
-    """Outcome of serving a request stream through the pipeline.
-
-    Attributes:
-        records: Every offered request's envelope, in offer order —
-            including rejected ones (check :attr:`QueuedRequest.admitted`).
-        batches: The executor's per-batch results, in service order.
-        metrics: Queueing summary (percentiles, misses, rejections).
-    """
-
-    records: List[QueuedRequest] = field(default_factory=list)
-    batches: List[BatchResult] = field(default_factory=list)
-    metrics: Optional[QueueMetrics] = None
-
-    def completed(self) -> List[QueuedRequest]:
-        """Envelopes that finished service, in offer order."""
-        return [r for r in self.records if r.completed]
-
-    def rejected(self) -> List[QueuedRequest]:
-        """Envelopes refused by admission control, in offer order."""
-        return [r for r in self.records if not r.admitted]
-
-
-def summarize_records(
-    name: str,
-    records: Sequence[QueuedRequest],
-    makespan_ns: float,
-    busy_ns: float,
-    batches: int,
-) -> QueueMetrics:
-    """Queueing summary over a window of request envelopes.
-
-    Used by :meth:`ServiceFrontend.result` over the frontend's lifetime
-    and by per-session reporting (:meth:`repro.api.session.PimSession
-    .report`) over just one session's records, so a reused frontend never
-    folds earlier traffic into a later report.  The roll-up arithmetic is
-    shared with the cluster tier in
-    :func:`repro.analysis.metrics.summarize_envelopes`.
-    """
-    return summarize_queue_records(
-        name, records, makespan_ns=makespan_ns, busy_ns=busy_ns, batches=batches
-    )
 
 
 class ServiceFrontend:
@@ -837,8 +795,8 @@ class ServiceFrontend:
         on :meth:`BatchExecutor.ready_ns` — a batch closes as soon as
         some bank lane is free, not when the whole previous batch has
         drained.  The clock is *not* lifted to ``until_ns``;
-        :meth:`offer` does that at arrival.  Shared by :meth:`run`, the
-        cluster frontend, and the retry client.
+        :meth:`offer` does that at arrival.  Shared by
+        :class:`~repro.api.session.PimSession` and the cluster frontend.
         """
         while self._heap and self.clock_ns < until_ns:
             if self.planner.should_close(self._queued(), self.clock_ns):
@@ -863,33 +821,3 @@ class ServiceFrontend:
             if wake >= until_ns or wake <= self.clock_ns or math.isinf(wake):
                 break
             self.clock_ns = wake
-
-    def run(self, events: Iterable[ArrivalEvent], name: str = "frontend") -> PipelineResult:
-        """Serve a whole arrival stream and return the pipeline outcome.
-
-        Drives the virtual clock: requests are admitted at their arrival
-        times, the planner decides when each batch closes (a batch is also
-        forced once the stream has ended), and service rides the executor
-        — the clock through each batch's makespan for a barrier executor,
-        the per-bank lane horizons for a pipelined one.
-        """
-        for event in sorted(events, key=lambda e: e.arrival_ns):
-            self.advance_to(event.arrival_ns)
-            self.offer(
-                event.request,
-                priority=event.priority,
-                deadline_ns=event.deadline_ns,
-                arrival_ns=event.arrival_ns,
-            )
-        self.drain()
-        return self.result(name)
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def result(self, name: str = "frontend") -> PipelineResult:
-        """Summarize everything served so far into a :class:`PipelineResult`."""
-        metrics = summarize_records(
-            name, self.records, self.completion_ns, self.busy_ns, len(self.batches)
-        )
-        return PipelineResult(records=list(self.records), batches=list(self.batches), metrics=metrics)

@@ -278,7 +278,7 @@ class RequestResult:
 
 @dataclass
 class BatchResult:
-    """Outcome of one :meth:`BatchScheduler.execute` call.
+    """Outcome of one :meth:`BatchExecutor.run` call.
 
     Attributes:
         results: One entry per request, in submission order.

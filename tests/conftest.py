@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
+from repro.api import PimSession
 from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
@@ -50,3 +51,21 @@ def small_ambit(small_device) -> AmbitEngine:
 def ddr3_device() -> DramDevice:
     """The full-size DDR3-1600 preset (used by analytical tests)."""
     return DramDevice.ddr3()
+
+
+@pytest.fixture(scope="session")
+def serve():
+    """Serve an arrival stream through a fresh session over ``backend``.
+
+    ``serve(backend, events, name="session")`` submits the stream, drains
+    it, and returns ``(report, records)``: the session's report and every
+    request's envelope, in event order.
+    """
+
+    def _serve(backend, events, name="session"):
+        session = PimSession(backend, name=name)
+        futures = session.submit_stream(events)
+        session.drain()
+        return session.report(), [future.record for future in futures]
+
+    return _serve

@@ -7,8 +7,8 @@ whether the backend is a single-device :class:`ServiceFrontend`, an
 N-shard :class:`ClusterFrontend`, or the serial :class:`HostBackend`.
 Around it: the ``Backend`` protocol surface, future semantics
 (rejection, windowed sessions, lazy drain), the host-side gather merge
-cost, and the deprecation shims over the legacy ``QueryEngine`` entry
-points.
+cost, and the behaviours of the retired ``QueryEngine`` query entry
+points, pinned on the session that replaced them.
 """
 
 import numpy as np
@@ -32,7 +32,7 @@ from repro.api import (
 from repro.cluster import ClusterFrontend, ShardRouter
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
-from repro.database.queries import QueryEngine, ScanBackend
+from repro.database.queries import QueryEngine
 from repro.database.tables import ColumnTable
 from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
@@ -230,7 +230,7 @@ class TestFutureSemantics:
         assert first_report.offered == 1
         assert second.report().offered == 4
         assert second.report().completed == 4
-        assert frontend.result().metrics.completed == 5
+        assert sum(r.completed for r in frontend.records) == 5
         # Session B's traffic never leaks into A's time-based fields: a
         # report taken *after* B ran equals the one taken before.
         late_first_report = first.report()
@@ -317,7 +317,7 @@ class TestFutureSemantics:
         events = poisson_schedule(requests, rate_per_s=1e9, seed=8)
         outcome = RetryClient(session).run(events)
         assert outcome.delivered > 0
-        assert outcome.result.metrics.completed == outcome.delivered
+        assert outcome.result.completed == outcome.delivered
 
 
 class TestPlanIR:
@@ -425,7 +425,8 @@ class TestGatherMergeCost:
 
 
 class TestDeprecationShims:
-    """The six legacy QueryEngine entry points still pass — and warn."""
+    """What the six retired QueryEngine entry points promised, on the
+    session that replaced them."""
 
     @pytest.fixture
     def query_engine(self):
@@ -435,35 +436,37 @@ class TestDeprecationShims:
     def column(self):
         return _random_column(np.random.default_rng(15), 8, 400)
 
+    @staticmethod
+    def _service(query_engine, **kwargs):
+        frontend = ServiceFrontend(executor=BatchExecutor(engine=query_engine.ambit), **kwargs)
+        return PimSession(frontend, coster=query_engine)
+
     def test_range_count_query_warns_and_matches_session(self, query_engine, column):
-        with pytest.warns(DeprecationWarning, match="range_count_query"):
-            legacy = query_engine.range_count_query(column, 20, 180, ScanBackend.AMBIT)
+        single = self._service(query_engine).range_count(column, 20, 180).result()
         session = PimSession(
             ServiceFrontend(executor=BatchExecutor(engine=_engine())), coster=query_engine
         )
         response = session.range_count(column, 20, 180).result()
-        assert legacy.matching_rows == response.matching_rows
-        assert legacy.latency_ns == pytest.approx(response.latency_ns)
-        assert legacy.energy_j == pytest.approx(response.energy_j)
+        assert single.matching_rows == response.matching_rows
+        assert single.latency_ns == pytest.approx(response.latency_ns)
+        assert single.energy_j == pytest.approx(response.energy_j)
 
     def test_range_count_query_cpu_matches_plan_model(self, query_engine, column):
-        with pytest.warns(DeprecationWarning):
-            legacy = query_engine.range_count_query(column, 20, 180, ScanBackend.CPU)
+        host = PimSession.over_host(coster=query_engine)
+        response = host.range_count(column, 20, 180).result()
         expected, plan = column.scan_range(20, 180)
-        reference = query_engine.execute_scan(
-            expected, plan, column.num_rows, ScanBackend.CPU
-        )
-        assert legacy.matching_rows == reference.matching_rows
-        assert legacy.latency_ns == pytest.approx(reference.latency_ns)
-        assert legacy.energy_j == pytest.approx(reference.energy_j)
+        matching = BitmapIndex.count(expected, column.num_rows)
+        scan = query_engine.cpu_scan_cost(plan)
+        epilogue = query_engine.epilogue_cost(column.num_rows, matching)
+        assert response.matching_rows == matching
+        assert response.latency_ns == pytest.approx(scan.latency_ns + epilogue.latency_ns)
+        assert response.energy_j == pytest.approx(scan.energy_j + epilogue.energy_j)
 
     def test_bitmap_conjunction_query_warns(self, query_engine):
         index = _bitmap_index(np.random.default_rng(16))
         predicates = [("region", [1, 2]), ("status", [0])]
-        with pytest.warns(DeprecationWarning, match="bitmap_conjunction_query"):
-            cpu = query_engine.bitmap_conjunction_query(index, predicates, ScanBackend.CPU)
-        with pytest.warns(DeprecationWarning):
-            ambit = query_engine.bitmap_conjunction_query(index, predicates, ScanBackend.AMBIT)
+        cpu = PimSession.over_host(coster=query_engine).conjunction(index, predicates).result()
+        ambit = self._service(query_engine).conjunction(index, predicates).result()
         expected, _ = index.evaluate_conjunction(predicates)
         assert cpu.matching_rows == ambit.matching_rows == BitmapIndex.count(
             expected, index.num_rows
@@ -472,11 +475,15 @@ class TestDeprecationShims:
     def test_scan_query_batch_warns_and_stays_bit_exact(self, query_engine):
         rng = np.random.default_rng(17)
         scans = [(_random_column(rng), "less_than", (c,)) for c in (5, 20, 40)]
-        with pytest.warns(DeprecationWarning, match="scan_query_batch"):
-            batch = query_engine.scan_query_batch(scans, ScanBackend.AMBIT)
-        assert len(batch.results) == len(scans)
-        assert batch.batching_speedup >= 1.0
-        for (column, kind, constants), result in zip(scans, batch.results):
+        session = self._service(query_engine, policy=BatchPolicy(max_batch=len(scans)))
+        futures = [session.scan(column, kind, *constants) for column, kind, constants in scans]
+        session.drain()
+        report = session.report()
+        assert report.completed == len(scans)
+        assert report.details.batches == 1
+        assert report.serial_latency_ns >= report.busy_ns
+        for (column, kind, constants), future in zip(scans, futures):
+            result = future.result()
             expected, plan = column.scan(kind, *constants)
             assert result.matching_rows == BitmapIndex.count(expected, column.num_rows)
             sequential = query_engine.ambit_scan_cost(plan)
@@ -485,54 +492,31 @@ class TestDeprecationShims:
     def test_range_count_query_batch_warns(self, query_engine):
         rng = np.random.default_rng(18)
         ranges = [(_random_column(rng), 5, 40) for _ in range(3)]
-        with pytest.warns(DeprecationWarning, match="range_count_query_batch"):
-            batch = query_engine.range_count_query_batch(ranges, ScanBackend.AMBIT)
-        assert len(batch.results) == 3
+        session = self._service(query_engine)
+        for column, low, high in ranges:
+            session.range_count(column, low, high)
+        session.drain()
+        assert session.report().completed == 3
 
     def test_scan_query_pipeline_warns(self, query_engine):
         rng = np.random.default_rng(19)
-        scans = [(_random_column(rng), "equal", (7,)) for _ in range(3)]
-        with pytest.warns(DeprecationWarning, match="scan_query_pipeline"):
-            batch, metrics = query_engine.scan_query_pipeline(
-                scans, ScanBackend.AMBIT, rate_per_s=1e6, seed=1
-            )
-        assert metrics.completed == len(scans)
-        assert batch.request_indices == list(range(len(scans)))
+        requests = [
+            ScanRequest(column=_random_column(rng), kind="equal", constants=(7,))
+            for _ in range(3)
+        ]
+        session = self._service(query_engine)
+        futures = session.submit_stream(poisson_schedule(requests, rate_per_s=1e6, seed=1))
+        session.drain()
+        assert session.report().completed == len(requests)
+        assert [i for i, f in enumerate(futures) if f.done()] == list(range(len(requests)))
 
     def test_bitmap_conjunction_query_batch_warns(self, query_engine):
         index = _bitmap_index(np.random.default_rng(20))
         conjunctions = [[("region", [1, 2]), ("status", [0])], [("tier", [1])]]
-        with pytest.warns(DeprecationWarning, match="bitmap_conjunction_query_batch"):
-            batch = query_engine.bitmap_conjunction_query_batch(
-                index, conjunctions, ScanBackend.AMBIT
-            )
-        for predicates, result in zip(conjunctions, batch.results):
+        session = self._service(query_engine)
+        futures = [session.conjunction(index, predicates) for predicates in conjunctions]
+        for predicates, future in zip(conjunctions, futures):
             expected, _ = index.evaluate_conjunction(predicates)
-            assert result.matching_rows == BitmapIndex.count(expected, index.num_rows)
-
-    def test_internal_callers_of_shims_fail(self):
-        """The CI guard: a legacy-entry-point DeprecationWarning raised
-        from inside repro.* (an internal straggler) is an error, while
-        the same warning from a test/user module — and unrelated
-        deprecations from repro frames — stay warnings."""
-        import warnings as w
-
-        message = "QueryEngine.range_count_query is deprecated; use ..."
-        with w.catch_warnings():
-            w.filterwarnings(
-                "error",
-                message=r"QueryEngine\..+ is deprecated",
-                category=DeprecationWarning,
-                module=r"repro\..*",
+            assert future.result().matching_rows == BitmapIndex.count(
+                expected, index.num_rows
             )
-            # Same message from a non-repro caller: warning only.
-            w.warn(message, DeprecationWarning)
-            repro_frame = {"__name__": "repro.fake_module", "message": message}
-            # Unrelated deprecation from a repro frame: warning only.
-            exec("import warnings; warnings.warn('x', DeprecationWarning)", dict(repro_frame))
-            # Legacy-entry-point warning from a repro frame: error.
-            with pytest.raises(DeprecationWarning):
-                exec(
-                    "import warnings; warnings.warn(message, DeprecationWarning)",
-                    repro_frame,
-                )

@@ -201,8 +201,8 @@ class TestBitExactness:
     def test_service_tier(self, seed):
         on = _replay(seed, lambda t, i: _frontend(cache=True))
         off = _replay(seed, lambda t, i: _frontend(cache=None))
-        on_records = on.result().completed()
-        off_records = off.result().completed()
+        on_records = [r for r in on.records if r.completed]
+        off_records = [r for r in off.records if r.completed]
         assert len(on_records) == len(off_records)
         for ours, ref in zip(on_records, off_records):
             if is_write_request(ref.request):
@@ -224,15 +224,16 @@ class TestBitExactness:
                 cache=cache,
                 maintenance="eager",
             )
+            session = PimSession(cluster)
             records = []
             for request in _mixed_stream(rng, table, index, count=16):
-                records.append(cluster.offer(request))
+                records.append(session.submit(request).record)
                 if rng.random() < 0.5:
-                    cluster.drain()
-            cluster.drain()
-            return records, cluster
+                    session.drain()
+            session.drain()
+            return records, session
 
-        on_records, on_cluster = serve(cache=True)
+        on_records, on_session = serve(cache=True)
         off_records, _ = serve(cache=None)
         assert len(on_records) == len(off_records)
         for ours, ref in zip(on_records, off_records):
@@ -240,7 +241,7 @@ class TestBitExactness:
                 assert ours.value == ref.value
             else:
                 assert np.array_equal(ours.value, ref.value)
-        metrics = on_cluster.result().metrics
+        metrics = on_session.report().details
         assert metrics.cache_hits > 0
         assert metrics.cache_invalidations > 0
 
@@ -314,21 +315,22 @@ class TestAccounting:
         rng = np.random.default_rng(41)
         table, index = _table_index(rng)
         frontend = _frontend(cache=True, observe=True)
+        session = PimSession(frontend)
         read = BitmapConjunctionRequest(
             index=index, predicates=(("status", (0, 1)), ("tier", (0, 1)))
         )
-        frontend.offer(read)
-        frontend.drain()
-        frontend.offer(read)  # second batch: served from the cache
-        frontend.drain()
-        frontend.offer(
+        session.submit(read)
+        session.drain()
+        session.submit(read)  # second batch: served from the cache
+        session.drain()
+        session.submit(
             AppendRequest(
                 table=table, index=index,
                 rows={name: [0] for name in CARDINALITIES},
             )
         )
-        frontend.drain()
-        metrics = frontend.result().metrics
+        session.drain()
+        metrics = session.report().details
         assert metrics.cache_hits > 0
         assert metrics.cache_misses > 0
         assert metrics.cache_invalidations > 0

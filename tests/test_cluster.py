@@ -16,20 +16,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
+from repro.api import PimSession
 from repro.cluster import ClusterFrontend, ShardRouter
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.sharding import BitmapIndexShardView, TableShardView
 from repro.database.bitweaving import BitWeavingColumn
-from repro.database.queries import QueryEngine, ScanBackend
 from repro.database.tables import ColumnTable
 from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
 from repro.service import (
+    BatchExecutor,
     BatchPolicy,
     BitmapConjunctionRequest,
     ScanRequest,
+    ServiceFrontend,
     poisson_schedule,
     trace_schedule,
 )
@@ -214,7 +216,7 @@ class TestClusterBitExactness:
         constants=st.lists(st.integers(0, 63), min_size=1, max_size=4),
     )
     def test_cluster_matches_single_device(
-        self, num_shards, replication, functional, num_bits, rows, seed, constants
+        self, serve, num_shards, replication, functional, num_bits, rows, seed, constants
     ):
         """Acceptance: sharded scatter-gather output == single-device output,
         across shard counts, replication factors, and both paths."""
@@ -248,11 +250,12 @@ class TestClusterBitExactness:
             functional=functional,
         )
         events = poisson_schedule(requests, rate_per_s=2e6, seed=seed)
-        result = cluster.run(events)
-        assert result.metrics.completed == len(requests)
-        assert result.metrics.rejected == 0
+        report, records = serve(cluster, events)
+        metrics = report.details
+        assert metrics.completed == len(requests)
+        assert metrics.rejected == 0
 
-        by_seq = {r.seq: r for r in result.records}
+        by_seq = {r.seq: r for r in records}
         for i, request in enumerate(requests):
             record = by_seq[i]
             if isinstance(request, ScanRequest):
@@ -262,22 +265,20 @@ class TestClusterBitExactness:
                 expected, _ = index.evaluate_conjunction(list(request.predicates))
             assert np.array_equal(record.value, expected)
         # Fan-out bookkeeping: host merges = sum of (parts - 1).
-        assert result.metrics.merge_ops == sum(
-            len(r.parts) - 1 for r in result.completed()
+        assert metrics.merge_ops == sum(
+            len(r.parts) - 1 for r in records if r.completed
         )
 
-    def test_cluster_agrees_with_pipeline_entry_points(self):
-        """Cross-check against the single-device service entry points."""
+    def test_cluster_agrees_with_pipeline_entry_points(self, serve):
+        """Cross-check against a single-device service session."""
         rng = np.random.default_rng(4)
         index = _bitmap_index(rng)
         conjunctions = [
             [("region", [1, 2]), ("status", [0]), ("tier", [0, 1])],
             [("region", [3]), ("status", [1, 2])],
         ]
-        single_engine = QueryEngine(ambit=_engine_factory()())
-        single = single_engine.bitmap_conjunction_query_batch(
-            index, conjunctions, ScanBackend.AMBIT
-        )
+        single = PimSession(ServiceFrontend(executor=BatchExecutor(engine=_engine_factory()())))
+        single_futures = [single.conjunction(index, p) for p in conjunctions]
         cluster = _cluster(3)
         requests = [
             BitmapConjunctionRequest(
@@ -285,9 +286,12 @@ class TestClusterBitExactness:
             )
             for p in conjunctions
         ]
-        result = cluster.run(trace_schedule(requests, [0.0] * len(requests)))
-        for record, query in zip(result.records, single.results):
-            assert BitmapIndex.count(record.value, index.num_rows) == query.matching_rows
+        _, records = serve(cluster, trace_schedule(requests, [0.0] * len(requests)))
+        for record, future in zip(records, single_futures):
+            assert (
+                BitmapIndex.count(record.value, index.num_rows)
+                == future.result().matching_rows
+            )
 
 
 class TestClusterRoutingAndAdmission:
@@ -343,31 +347,33 @@ class TestClusterRoutingAndAdmission:
             cluster.shards[full_shard].offer(
                 ScanRequest(column=column, kind="less_than", constants=(10,))
             )
-        record = cluster.offer(
+        session = PimSession(cluster)
+        record = session.submit(
             BitmapConjunctionRequest(
                 index=index,
                 predicates=(("region", (1, 2)), ("status", (0, 1)), ("tier", (0, 1))),
             )
-        )
+        ).record
         assert not record.admitted
         assert record.rejected_reason == "queue_full"
         # The siblings offered before the failure were withdrawn.
         cancelled = [p for p in record.parts if p.rejected_reason == "cancelled"]
         assert len(cancelled) == len(record.parts) - 1
-        cluster.drain()
-        result = cluster.result()
-        assert result.metrics.rejected == 1
-        assert result.metrics.completed == 0
+        session.drain()
+        metrics = session.report().details
+        assert metrics.rejected == 1
+        assert metrics.completed == 0
 
-    def test_cluster_metrics_rollup(self):
+    def test_cluster_metrics_rollup(self, serve):
         rng = np.random.default_rng(8)
         cluster = _cluster(2)
         columns = [_random_column(rng, 6, 200) for _ in range(8)]
         requests = [
             ScanRequest(column=c, kind="less_than", constants=(12,)) for c in columns
         ]
-        result = cluster.run(poisson_schedule(requests, rate_per_s=1e6, seed=8))
-        m = result.metrics
+        report, records = serve(cluster, poisson_schedule(requests, rate_per_s=1e6, seed=8))
+        m = report.details
+        completed = [r for r in records if r.completed]
         assert m.shards == 2
         assert m.offered == len(requests)
         assert m.admitted + m.rejected == m.offered
@@ -383,19 +389,15 @@ class TestClusterRoutingAndAdmission:
         assert m.imbalance >= 1.0
         assert m.cross_shard_fanout == pytest.approx(1.0)
         assert m.sojourn_p99_ns >= m.sojourn_p50_ns > 0.0
-        for record in result.completed():
+        for record in completed:
             assert record.wait_ns >= 0.0
             assert record.sojourn_ns >= record.wait_ns
         # Serial latency/energy roll up from the completed records.
-        assert m.energy_j == pytest.approx(
-            sum(r.metrics.energy_j for r in result.completed())
-        )
+        assert m.energy_j == pytest.approx(sum(r.metrics.energy_j for r in completed))
 
-    def test_single_shard_cluster_matches_plain_frontend(self):
+    def test_single_shard_cluster_matches_plain_frontend(self, serve):
         """A 1-shard cluster is the single-device pipeline with extra
         bookkeeping: identical values, waits, and sojourns."""
-        from repro.service import BatchExecutor, ServiceFrontend
-
         rng = np.random.default_rng(9)
         columns = [_random_column(rng, 6, 200) for _ in range(5)]
         make_requests = lambda: [
@@ -405,32 +407,33 @@ class TestClusterRoutingAndAdmission:
             executor=BatchExecutor(engine=_engine_factory()()),
             policy=BatchPolicy(max_batch=3),
         )
-        plain_result = plain.run(poisson_schedule(make_requests(), rate_per_s=1e6, seed=2))
-        cluster = _cluster(1)
-        cluster_result = cluster.run(
-            poisson_schedule(make_requests(), rate_per_s=1e6, seed=2)
+        plain_report, plain_records = serve(
+            plain, poisson_schedule(make_requests(), rate_per_s=1e6, seed=2)
         )
-        assert cluster_result.metrics.completed == plain_result.metrics.completed
-        for plain_record, record in zip(plain_result.records, cluster_result.records):
+        cluster = _cluster(1)
+        cluster_report, cluster_records = serve(
+            cluster, poisson_schedule(make_requests(), rate_per_s=1e6, seed=2)
+        )
+        assert cluster_report.completed == plain_report.completed
+        for plain_record, record in zip(plain_records, cluster_records):
             assert np.array_equal(record.value, plain_record.value)
             assert record.wait_ns == pytest.approx(plain_record.wait_ns)
             assert record.sojourn_ns == pytest.approx(plain_record.sojourn_ns)
 
     def test_deadline_misses_roll_up(self):
         rng = np.random.default_rng(10)
-        cluster = _cluster(2)
+        session = PimSession(_cluster(2))
         column = _random_column(rng, 8, 400)
-        impossible = cluster.offer(
+        impossible = session.submit(
             ScanRequest(column=column, kind="less_than", constants=(3,)), deadline_ns=1.0
-        )
-        generous = cluster.offer(
+        ).record
+        generous = session.submit(
             ScanRequest(
                 column=_random_column(rng, 8, 400), kind="less_than", constants=(3,)
             ),
             deadline_ns=1e12,
-        )
-        cluster.drain()
-        result = cluster.result()
+        ).record
+        session.drain()
         assert impossible.deadline_missed
         assert not generous.deadline_missed
-        assert result.metrics.deadline_misses == 1
+        assert session.report().details.deadline_misses == 1

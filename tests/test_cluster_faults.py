@@ -194,7 +194,7 @@ class TestFailoverBitExactness:
         seed=st.integers(0, 2**16),
     )
     def test_results_bit_exact_under_fault_schedule(
-        self, num_shards, pipeline, kill_ns, revive, victim_offset, seed
+        self, serve, num_shards, pipeline, kill_ns, revive, victim_offset, seed
     ):
         """Acceptance: any kill/revive schedule with rf=2 and one dead
         shard at a time leaves every request completed, bit-exact with
@@ -209,8 +209,8 @@ class TestFailoverBitExactness:
             router=ShardRouter(num_shards, replication_factor=2),
             pipeline=pipeline,
         )
-        healthy_result = healthy.run(
-            poisson_schedule(requests, rate_per_s=2e6, seed=seed)
+        _, healthy_records = serve(
+            healthy, poisson_schedule(requests, rate_per_s=2e6, seed=seed)
         )
 
         victim = victim_offset % num_shards
@@ -223,28 +223,32 @@ class TestFailoverBitExactness:
             pipeline=pipeline,
             faults=plan,
         )
-        result = faulted.run(events)
+        report, records = serve(faulted, events)
+        metrics = report.details
 
         # Conservation: every request terminates exactly once.
-        assert result.metrics.offered == len(requests)
-        assert result.metrics.completed + result.metrics.rejected == len(requests)
-        assert result.metrics.rejected == 0  # rf=2 covers one dead shard
-        assert sorted(r.seq for r in result.completed()) == list(range(len(requests)))
+        assert metrics.offered == len(requests)
+        assert metrics.completed + metrics.rejected == len(requests)
+        assert metrics.rejected == 0  # rf=2 covers one dead shard
+        assert sorted(r.seq for r in records if r.completed) == list(range(len(requests)))
+        # Failover re-offers are not rejections: each part counts on the
+        # shard that finally held it.
+        assert all(shard.rejected == 0 for shard in metrics.per_shard)
 
         # Bit-exactness vs the healthy run and vs direct evaluation.
-        healthy_by_seq = {r.seq: r for r in healthy_result.records}
-        for record in result.records:
+        healthy_by_seq = {r.seq: r for r in healthy_records}
+        for record in records:
             expected, _ = index.evaluate_conjunction(list(record.request.predicates))
             assert np.array_equal(record.value, expected)
             assert np.array_equal(record.value, healthy_by_seq[record.seq].value)
 
         # The schedule was actually exercised when it was due in-window.
         fired = [entry for entry in plan.log if entry.action == "kill"]
-        if kill_ns <= result.metrics.makespan_ns:
+        if kill_ns <= metrics.makespan_ns:
             assert fired and fired[0].applied
-            assert result.metrics.shard_failures == 1
+            assert metrics.shard_failures == 1
 
-    def test_mid_burst_kill_migrates_queued_parts(self):
+    def test_mid_burst_kill_migrates_queued_parts(self, serve):
         """A kill landing mid-burst re-offers queued parts to surviving
         replicas: failovers are visible, nothing is lost."""
         rng = np.random.default_rng(42)
@@ -257,17 +261,21 @@ class TestFailoverBitExactness:
             faults=plan,
             sanitize=True,  # every re-offer certified by the failover lint
         )
-        result = cluster.run(poisson_schedule(requests, rate_per_s=8e6, seed=42))
-        assert result.metrics.shard_failures == 1
-        assert result.metrics.completed == len(requests)
-        assert result.metrics.rejected == 0
-        assert result.metrics.failovers > 0
-        assert result.metrics.failover_failures == 0
-        for record in result.records:
+        report, records = serve(cluster, poisson_schedule(requests, rate_per_s=8e6, seed=42))
+        metrics = report.details
+        assert metrics.shard_failures == 1
+        assert metrics.completed == len(requests)
+        assert metrics.rejected == 0
+        assert metrics.failovers > 0
+        assert metrics.failover_failures == 0
+        # The migrated parts count on the surviving shards that served
+        # them, not as rejections on the dead one.
+        assert all(shard.rejected == 0 for shard in metrics.per_shard)
+        for record in records:
             expected, _ = index.evaluate_conjunction(list(record.request.predicates))
             assert np.array_equal(record.value, expected)
         # No migrated part landed back on the dead shard.
-        for record in result.records:
+        for record in records:
             if record.failovers:
                 assert all(s != 1 for s in record.shard_ids)
                 assert record.migrated_parts  # originals kept for audit
@@ -307,13 +315,14 @@ class TestDegradedMode:
         cluster = _cluster(2, router=ShardRouter(2, replication_factor=1))
         home = cluster.router.replicas(column)[0]
         assert cluster.fail_shard(home)
-        record = cluster.offer(
+        session = PimSession(cluster)
+        record = session.submit(
             ScanRequest(column=column, kind="less_than", constants=(10,))
-        )
+        ).record
         assert not record.admitted
         assert record.rejected_reason == "shard_unavailable"
-        cluster.drain()
-        assert cluster.result().metrics.rejected == 1
+        session.drain()
+        assert session.report().details.rejected == 1
 
     def test_stranded_queued_request_fails_typed(self):
         """Work already queued on the victim with no surviving replica
@@ -378,7 +387,7 @@ class TestDegradedMode:
 
 
 class TestDrainRetireJoin:
-    def test_drain_migrates_and_conserves(self):
+    def test_drain_migrates_and_conserves(self, serve):
         rng = np.random.default_rng(21)
         index = _bitmap_index(rng)
         requests = _conjunctions(rng, index, count=16)
@@ -386,12 +395,12 @@ class TestDrainRetireJoin:
         cluster = _cluster(
             3, router=ShardRouter(3, replication_factor=2), faults=plan
         )
-        result = cluster.run(poisson_schedule(requests, rate_per_s=8e6, seed=21))
-        assert result.metrics.completed == len(requests)
-        assert result.metrics.rejected == 0
+        report, records = serve(cluster, poisson_schedule(requests, rate_per_s=8e6, seed=21))
+        assert report.completed == len(requests)
+        assert report.rejected == 0
         assert cluster.router.is_alive(0)
         assert not cluster.router.is_routable(0)
-        for record in result.records:
+        for record in records:
             expected, _ = index.evaluate_conjunction(list(record.request.predicates))
             assert np.array_equal(record.value, expected)
 
@@ -469,7 +478,7 @@ class TestElasticController:
         with pytest.raises(ValueError):
             ControllerPolicy(max_replication=0)
 
-    def test_replicates_hot_key_to_cold_shard(self):
+    def test_replicates_hot_key_to_cold_shard(self, serve):
         """Sustained skew on one column re-replicates it to the idle
         shard, with the copy bytes charged there — and results stay
         bit-exact."""
@@ -491,19 +500,20 @@ class TestElasticController:
             BitmapConjunctionRequest(index=index, predicates=(("region", (1, 2)),))
             for _ in range(30)
         ]
-        result = cluster.run(poisson_schedule(requests, rate_per_s=20e6, seed=31))
-        assert result.metrics.completed == len(requests)
+        report, records = serve(cluster, poisson_schedule(requests, rate_per_s=20e6, seed=31))
+        metrics = report.details
+        assert metrics.completed == len(requests)
         replicate_events = [e for e in controller.events if e.action == "replicate"]
         assert replicate_events
         assert replicate_events[0].key == "region"
         assert len(cluster.router.replicas("region")) == 2
-        assert result.metrics.replications >= 1
-        assert result.metrics.copied_bytes > 0
+        assert metrics.replications >= 1
+        assert metrics.copied_bytes > 0
         expected, _ = index.evaluate_conjunction([("region", (1, 2))])
-        for record in result.records:
+        for record in records:
             assert np.array_equal(record.value, expected)
 
-    def test_joins_under_sustained_overload(self):
+    def test_joins_under_sustained_overload(self, serve):
         rng = np.random.default_rng(32)
         columns = [BitWeavingColumn(rng.integers(0, 64, size=400), 6) for _ in range(4)]
         cluster = _cluster(2, router=ShardRouter(2, replication_factor=1))
@@ -521,10 +531,10 @@ class TestElasticController:
             ScanRequest(column=columns[i % 4], kind="less_than", constants=(9,))
             for i in range(40)
         ]
-        result = cluster.run(poisson_schedule(requests, rate_per_s=20e6, seed=32))
+        metrics = serve(cluster, poisson_schedule(requests, rate_per_s=20e6, seed=32))[0].details
         assert cluster.num_shards == 3  # grew to max_shards, not past it
-        assert result.metrics.shards_joined == 1
-        assert result.metrics.completed == len(requests)
+        assert metrics.shards_joined == 1
+        assert metrics.completed == len(requests)
 
     def test_retires_when_idle(self):
         cluster = _cluster(3, router=ShardRouter(3, replication_factor=1))
@@ -565,10 +575,10 @@ class TestRetryClientDeadlineBudget:
         assert policy.delay_ns(2, seed=8, key=3) != first
         base = 1000.0 * 2.0
         assert base * 0.5 <= first <= base * 1.5
-        # The legacy positional-rng path still works.
-        rng = np.random.default_rng(0)
-        legacy = policy.delay_ns(1, rng)
-        assert 500.0 <= legacy <= 1500.0
+        # The first retry's keyed draw stays within its own jitter bound.
+        keyed = policy.delay_ns(1, seed=0, key=0)
+        assert keyed == policy.delay_ns(1, seed=0, key=0)
+        assert 500.0 <= keyed <= 1500.0
 
     def test_retry_budget_capped_by_remaining_slack(self):
         """A retry whose backoff lands past the deadline is not offered:
@@ -585,12 +595,14 @@ class TestRetryClientDeadlineBudget:
         ]
         # Batch size 1 drains the queue between retry waves, so each wave
         # admits exactly one re-offer.
-        make_cluster = lambda: _cluster(
-            1, router=ShardRouter(1), max_queue_depth=1, policy=BatchPolicy(max_batch=1)
+        make_session = lambda: PimSession(
+            _cluster(
+                1, router=ShardRouter(1), max_queue_depth=1, policy=BatchPolicy(max_batch=1)
+            )
         )
         policy = BackoffPolicy(base_ns=50_000.0, multiplier=2.0, max_attempts=4)
 
-        tight = RetryClient(make_cluster(), policy=policy, seed=1)
+        tight = RetryClient(make_session(), policy=policy, seed=1)
         tight_outcome = tight.run(make_events(deadline=10_000.0))
         assert tight.deadline_exhausted > 0
         # Doomed retries were cut: rejected requests stopped at one attempt.
@@ -598,7 +610,7 @@ class TestRetryClientDeadlineBudget:
             len(r.attempts) == 1 for r in tight_outcome.records if r.gave_up
         )
 
-        slack = RetryClient(make_cluster(), policy=policy, seed=1)
+        slack = RetryClient(make_session(), policy=policy, seed=1)
         slack_outcome = slack.run(make_events(deadline=1e9))
         assert slack.deadline_exhausted == 0
         assert slack_outcome.delivered_after_retry > 0
@@ -623,7 +635,7 @@ class TestFailoverLintAndAudit:
             router.route("orphan", lambda shard: 0.0)
         assert excinfo.value.key == "orphan"
 
-    def test_counters_match_cluster_metrics(self):
+    def test_counters_match_cluster_metrics(self, serve):
         """The cluster.failover.* / cluster.scale.* counter taxonomy and
         the ClusterMetrics roll-up tell one story."""
         rng = np.random.default_rng(51)
@@ -636,8 +648,7 @@ class TestFailoverLintAndAudit:
             faults=plan,
             observe=True,
         )
-        result = cluster.run(poisson_schedule(requests, rate_per_s=8e6, seed=51))
-        metrics = result.metrics
+        metrics = serve(cluster, poisson_schedule(requests, rate_per_s=8e6, seed=51))[0].details
         counters = cluster.obs.snapshot()["counters"]
         assert counters.get("cluster.failover.kills", 0.0) == metrics.shard_failures
         assert counters.get("cluster.failover.revives", 0.0) == metrics.shard_revivals

@@ -5,7 +5,8 @@ import pytest
 
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
-from repro.database.queries import QueryEngine, ScanBackend
+from repro.api import PimSession
+from repro.database.queries import QueryEngine
 from repro.database.tables import ColumnTable, generate_sales_table
 
 
@@ -147,12 +148,24 @@ class TestBitWeaving:
             BitWeavingColumn(np.array([[1, 2]]), num_bits=4)
 
 
+def _session(engine: QueryEngine, tier: str) -> PimSession:
+    """A fresh session pricing through ``engine``: the serial host CPU
+    (``"host"``) or the Ambit service tier on ``engine.ambit``."""
+    if tier == "host":
+        return PimSession.over_host(coster=engine)
+    return PimSession.over_service(engine=engine.ambit, coster=engine)
+
+
+def _range_count(engine: QueryEngine, tier: str, column, low: int, high: int):
+    return _session(engine, tier).range_count(column, low, high).result()
+
+
 class TestQueryEngine:
     def test_backends_agree_on_result(self, table):
         column = BitWeavingColumn.from_table(table, "quantity")
         engine = QueryEngine()
-        cpu = engine.range_count_query(column, 32, 96, ScanBackend.CPU)
-        ambit = engine.range_count_query(column, 32, 96, ScanBackend.AMBIT)
+        cpu = _range_count(engine, "host", column, 32, 96)
+        ambit = _range_count(engine, "service", column, 32, 96)
         assert cpu.matching_rows == ambit.matching_rows
         expected = int(((table.column("quantity") >= 32) & (table.column("quantity") <= 96)).sum())
         assert cpu.matching_rows == expected
@@ -161,8 +174,8 @@ class TestQueryEngine:
         table = generate_sales_table(8_000_000, seed=1)
         column = BitWeavingColumn.from_table(table, "quantity")
         engine = QueryEngine()
-        cpu = engine.range_count_query(column, 32, 57, ScanBackend.CPU)
-        ambit = engine.range_count_query(column, 32, 57, ScanBackend.AMBIT)
+        cpu = _range_count(engine, "host", column, 32, 57)
+        ambit = _range_count(engine, "service", column, 32, 57)
         assert ambit.latency_ns < cpu.latency_ns
         assert cpu.latency_ns / ambit.latency_ns > 3
 
@@ -172,17 +185,17 @@ class TestQueryEngine:
         for rows in (500_000, 4_000_000, 16_000_000):
             table = generate_sales_table(rows, seed=2)
             column = BitWeavingColumn.from_table(table, "quantity")
-            cpu = engine.range_count_query(column, 32, 57, ScanBackend.CPU)
-            ambit = engine.range_count_query(column, 32, 57, ScanBackend.AMBIT)
+            cpu = _range_count(engine, "host", column, 32, 57)
+            ambit = _range_count(engine, "service", column, 32, 57)
             speedups.append(cpu.latency_ns / ambit.latency_ns)
         assert speedups[0] < speedups[1] < speedups[2]
 
-    def test_bitmap_conjunction_query(self, table):
+    def test_bitmap_conjunction_backends_agree(self, table):
         index = BitmapIndex(table, ["region", "product"])
         engine = QueryEngine()
         predicates = [("region", [0, 1]), ("product", [0, 1, 2])]
-        cpu = engine.bitmap_conjunction_query(index, predicates, ScanBackend.CPU)
-        ambit = engine.bitmap_conjunction_query(index, predicates, ScanBackend.AMBIT)
+        cpu = _session(engine, "host").conjunction(index, predicates).result()
+        ambit = _session(engine, "service").conjunction(index, predicates).result()
         assert cpu.matching_rows == ambit.matching_rows
         assert cpu.breakdown["scan_ns"] > 0
         assert ambit.breakdown["epilogue_ns"] == pytest.approx(cpu.breakdown["epilogue_ns"])

@@ -14,7 +14,8 @@ from repro.consumer.analysis import ConsumerStudy
 from repro.core.system import PIMSystem
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
-from repro.database.queries import QueryEngine, ScanBackend
+from repro.api import PimSession
+from repro.database.queries import QueryEngine
 from repro.database.tables import generate_sales_table
 from repro.dram.device import DramDevice
 from repro.graph.algorithms import breadth_first_search, pagerank
@@ -84,14 +85,13 @@ class TestDatabaseEndToEnd:
         reference = int(
             (np.isin(region_codes, [0, 1]) & True).sum()
         )
-        bitmap_result = engine.bitmap_conjunction_query(
-            index, [("region", [0, 1])], ScanBackend.AMBIT
-        )
+        service = PimSession.over_service(engine=engine.ambit, coster=engine)
+        bitmap_result = service.conjunction(index, [("region", [0, 1])]).result()
         assert bitmap_result.matching_rows == reference
 
         reference_range = int(((quantity_codes >= 10) & (quantity_codes <= 200)).sum())
-        for backend in (ScanBackend.CPU, ScanBackend.AMBIT):
-            result = engine.range_count_query(column, 10, 200, backend)
+        for session in (PimSession.over_host(coster=engine), service):
+            result = session.range_count(column, 10, 200).result()
             assert result.matching_rows == reference_range
 
 

@@ -32,6 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
+from repro.api import PimSession
 from repro.analysis import render_lane_timeline, render_span_tree
 from repro.analysis.metrics import QueueMetrics, percentile, percentile_or
 from repro.cluster import ClusterFrontend
@@ -122,8 +123,15 @@ def _run_service(observe, seed: int = 3, count: int = 24, max_queue_depth: int =
     events = poisson_schedule(
         _scan_requests(rng, count=count), rate_per_s=5e6, seed=seed
     )
-    result = frontend.run(events, name="obs_test")
-    return frontend, result
+    return (frontend, *_serve(frontend, events, name="obs_test"))
+
+
+def _serve(backend, events, name):
+    """Serve ``events`` through a session: (metrics, records in event order)."""
+    session = PimSession(backend, name=name)
+    futures = session.submit_stream(events)
+    session.drain()
+    return session.report().details, [future.record for future in futures]
 
 
 # ---------------------------------------------------------------------
@@ -203,12 +211,11 @@ class TestPercentileOr:
 # ---------------------------------------------------------------------
 class TestDisabledPath:
     def test_observe_false_allocates_no_spans(self):
-        frontend, result = None, None
         before = Span.allocated
-        frontend, result = _run_service(observe=False)
+        frontend, metrics, _ = _run_service(observe=False)
         assert Span.allocated - before == 0
         assert frontend.obs is NULL_OBSERVER
-        assert result.metrics.completed > 0  # the run itself was real
+        assert metrics.completed > 0  # the run itself was real
 
     def test_null_tracer_hands_out_the_null_span(self):
         tracer = Tracer(enabled=False)
@@ -236,9 +243,12 @@ class TestBitExactness:
         return a == b or (math.isnan(a) and math.isnan(b))
 
     def _assert_runs_identical(self, plain, traced):
-        assert plain.metrics == traced.metrics
-        assert len(plain.records) == len(traced.records)
-        for a, b in zip(plain.records, traced.records):
+        """``plain``/``traced`` are (frontend, metrics, records) runs."""
+        _, plain_metrics, plain_records = plain
+        _, traced_metrics, traced_records = traced
+        assert plain_metrics == traced_metrics
+        assert len(plain_records) == len(traced_records)
+        for a, b in zip(plain_records, traced_records):
             assert a.arrival_ns == b.arrival_ns
             assert self._same_ns(a.start_ns, b.start_ns)
             assert self._same_ns(a.finish_ns, b.finish_ns)
@@ -249,8 +259,8 @@ class TestBitExactness:
                 assert np.array_equal(a.value, b.value)
 
     def test_service_run_is_bit_exact_with_tracing_on(self):
-        _, plain = _run_service(observe=False)
-        _, traced = _run_service(observe=True)
+        plain = _run_service(observe=False)
+        traced = _run_service(observe=True)
         self._assert_runs_identical(plain, traced)
 
     @settings(max_examples=8, deadline=None)
@@ -260,8 +270,8 @@ class TestBitExactness:
     )
     def test_service_bit_exactness_property(self, seed, depth):
         """Across seeds and shed pressure: tracing never perturbs the run."""
-        _, plain = _run_service(observe=False, seed=seed, count=12, max_queue_depth=depth)
-        _, traced = _run_service(observe=True, seed=seed, count=12, max_queue_depth=depth)
+        plain = _run_service(observe=False, seed=seed, count=12, max_queue_depth=depth)
+        traced = _run_service(observe=True, seed=seed, count=12, max_queue_depth=depth)
         self._assert_runs_identical(plain, traced)
 
     def test_cluster_run_is_bit_exact_with_tracing_on(self):
@@ -276,12 +286,12 @@ class TestBitExactness:
             events = poisson_schedule(
                 _scan_requests(rng, count=16), rate_per_s=4e6, seed=6
             )
-            return cluster, cluster.run(events)
+            return (cluster, *_serve(cluster, events, name="cluster"))
 
-        _, plain = run(False)
-        traced_cluster, traced = run(True)
-        assert plain.metrics == traced.metrics
-        for a, b in zip(plain.records, traced.records):
+        _, plain_metrics, plain_records = run(False)
+        traced_cluster, traced_metrics, traced_records = run(True)
+        assert plain_metrics == traced_metrics
+        for a, b in zip(plain_records, traced_records):
             assert a.arrival_ns == b.arrival_ns
             assert self._same_ns(a.finish_ns, b.finish_ns)
             assert np.array_equal(a.value, b.value)
@@ -306,8 +316,8 @@ class TestBitExactness:
 # ---------------------------------------------------------------------
 class TestRecordedSpans:
     def test_completed_request_tree_shape(self):
-        frontend, result = _run_service(observe=True)
-        completed = result.completed()
+        _, _, records = _run_service(observe=True)
+        completed = [r for r in records if r.completed]
         assert completed
         record = completed[0]
         assert record.trace is not None
@@ -320,14 +330,13 @@ class TestRecordedSpans:
         assert service.end_ns == record.finish_ns
 
     def test_rejected_request_tree_and_counters(self):
-        frontend, result = _run_service(observe=True, max_queue_depth=2)
-        metrics = result.metrics
+        frontend, metrics, records = _run_service(observe=True, max_queue_depth=2)
         assert metrics.rejected > 0
         counters = frontend.obs.snapshot()["counters"]
         assert counters["frontend.offered"] == metrics.offered
         assert counters["frontend.completed"] == metrics.completed
         assert counters["frontend.rejected"] == metrics.rejected
-        rejected = [r for r in result.records if not r.admitted]
+        rejected = [r for r in records if not r.admitted]
         span = rejected[0].trace
         assert span.attrs["status"] == "rejected"
         assert span.attrs["reason"]
@@ -335,14 +344,12 @@ class TestRecordedSpans:
         assert admission.attrs["admitted"] is False
 
     def test_executor_lanes_become_tracks(self):
-        frontend, _ = _run_service(observe=True)
+        frontend, _, _ = _run_service(observe=True)
         executor = frontend.executor
         expected = {str(key) for key in executor.active_bank_keys()}
         assert set(frontend.obs.tracer.tracks) == expected | {"host", "batches"}
 
     def test_session_exposes_trace_and_obs_snapshot(self):
-        from repro.api import PimSession
-
         rng = np.random.default_rng(2)
         session = PimSession.over_service(engine=_engine(), observe=True)
         columns = [BitWeavingColumn(rng.integers(0, 64, size=300), 6) for _ in range(3)]
@@ -359,8 +366,6 @@ class TestRecordedSpans:
 
     def test_session_report_accounting_identical_on_and_off(self):
         import dataclasses
-
-        from repro.api import PimSession
 
         def run(observe):
             rng = np.random.default_rng(5)
@@ -381,8 +386,6 @@ class TestRecordedSpans:
         assert dataclasses.replace(traced, obs=None) == plain
 
     def test_untraced_session_reports_no_obs(self):
-        from repro.api import PimSession
-
         session = PimSession.over_service(engine=_engine())
         rng = np.random.default_rng(2)
         column = BitWeavingColumn(rng.integers(0, 64, size=300), 6)
@@ -397,7 +400,7 @@ class TestRecordedSpans:
 # ---------------------------------------------------------------------
 class TestPerfettoExport:
     def test_trace_validates_and_replays_busy_union(self, tmp_path):
-        frontend, _ = _run_service(observe=True)
+        frontend, _, _ = _run_service(observe=True)
         path = write_trace(
             tmp_path / "TRACE_obs.json",
             frontend.obs.tracer,
@@ -432,7 +435,7 @@ class TestPerfettoExport:
         assert replay.busy_union_ns == frontend.executor.lanes.busy_union_ns
 
     def test_trace_event_envelope(self):
-        frontend, _ = _run_service(observe=True)
+        frontend, _, _ = _run_service(observe=True)
         payload = build_trace(frontend.obs.tracer, metrics=frontend.obs.metrics)
         assert payload["displayTimeUnit"] == "ns"
         assert "metrics" in payload
@@ -486,7 +489,7 @@ class TestObsWallClockLint:
 # ---------------------------------------------------------------------
 class TestRenderers:
     def test_lane_timeline_renders_tracks(self):
-        frontend, _ = _run_service(observe=True)
+        frontend, _, _ = _run_service(observe=True)
         text = render_lane_timeline(frontend.obs.tracer)
         assert text.startswith("lane timeline:")
         for label in frontend.obs.tracer.tracks:
@@ -497,8 +500,8 @@ class TestRenderers:
         assert "no closed spans" in render_lane_timeline(Tracer())
 
     def test_span_tree_renders_depth_and_attrs(self):
-        frontend, result = _run_service(observe=True)
-        text = render_span_tree(result.completed()[0].trace)
+        _, _, records = _run_service(observe=True)
+        text = render_span_tree(next(r for r in records if r.completed).trace)
         lines = text.splitlines()
         assert lines[0].startswith("request")
         assert any(line.startswith("  ") for line in lines)  # indented children

@@ -108,16 +108,19 @@ def _requests(draws):
 
 
 def _serve(requests, optimize, pipeline=True, banks=4, max_batch=4, policy=None):
+    """Serve ``requests`` at t=0 through a session: (frontend, metrics,
+    completed records in submission order)."""
     frontend = ServiceFrontend(
         executor=BatchExecutor(engine=_engine(banks), pipeline=pipeline, sanitize=True),
         policy=policy or BatchPolicy(max_batch=max_batch, window_ns=None),
         max_queue_depth=1000,
         optimize=optimize,
     )
-    for request in requests:
-        frontend.offer(request)
-    frontend.drain()
-    return frontend, frontend.result()
+    session = PimSession(frontend)
+    futures = [session.submit(request) for request in requests]
+    session.drain()
+    completed = [future.record for future in futures if future.done()]
+    return frontend, session.report().details, completed
 
 
 # ----------------------------------------------------------------------
@@ -168,24 +171,24 @@ class TestBitExactness:
     ):
         requests = _requests(draws)
         config = OptimizerConfig(cse=cse, split_subchains=split)
-        _, base = _serve(requests, optimize=False, pipeline=pipeline)
-        _, opt = _serve(requests, optimize=config, pipeline=pipeline)
-        assert base.metrics.completed == opt.metrics.completed == len(draws)
-        for b, o in zip(base.completed(), opt.completed()):
+        _, base, base_completed = _serve(requests, optimize=False, pipeline=pipeline)
+        _, opt, opt_completed = _serve(requests, optimize=config, pipeline=pipeline)
+        assert base.completed == opt.completed == len(draws)
+        for b, o in zip(base_completed, opt_completed):
             expected, _ = INDEX.evaluate_conjunction(list(b.request.predicates))
             assert np.array_equal(b.value, expected)
             assert np.array_equal(o.value, expected)
             assert o.ops_eliminated >= 0
             assert o.shared_subchains >= 0
         # Elimination only ever removes work, never adds it.
-        assert opt.metrics.energy_j <= base.metrics.energy_j * (1 + 1e-9)
+        assert opt.energy_j <= base.energy_j * (1 + 1e-9)
 
     @settings(max_examples=8, deadline=None)
     @given(
         draws=st.lists(st.integers(0, len(TEMPLATES) - 1), min_size=3, max_size=8),
         shards=st.integers(1, 3),
     )
-    def test_cluster_tier_matches_host(self, draws, shards):
+    def test_cluster_tier_matches_host(self, serve, draws, shards):
         cluster = ClusterFrontend(
             num_shards=shards,
             router=ShardRouter(shards),
@@ -199,12 +202,12 @@ class TestBitExactness:
             ArrivalEvent(request=r, arrival_ns=float(i) * 50.0)
             for i, r in enumerate(_requests(draws))
         ]
-        result = cluster.run(events, name="cluster")
-        assert result.metrics.completed == len(draws)
-        for record in result.completed():
+        report, records = serve(cluster, events, name="cluster")
+        assert report.completed == len(draws)
+        for record in records:
             expected, _ = INDEX.evaluate_conjunction(list(record.request.predicates))
             assert np.array_equal(record.value, expected)
-        assert result.metrics.ops_eliminated >= 0
+        assert report.ops_eliminated >= 0
 
 
 # ----------------------------------------------------------------------
@@ -216,21 +219,21 @@ class TestCseAccounting:
         # distinct one, all in a single batch: the duplicates' chains run
         # once, the copies are charged zero device ops.
         requests = _requests([0, 1, 2])
-        frontend, result = _serve(
+        frontend, metrics, completed = _serve(
             requests, optimize=OptimizerConfig(split_subchains=False), max_batch=4
         )
-        first, copy, other = result.completed()
+        first, copy, other = completed
         plan_total = sum(len(v) - 1 for _, v in TEMPLATES[0]) + len(TEMPLATES[0]) - 1
         assert first.ops_eliminated == 0
         assert copy.ops_eliminated == plan_total
         assert copy.shared_subchains > 0
-        assert result.metrics.ops_eliminated == plan_total
-        assert result.metrics.shared_subchains == (
+        assert metrics.ops_eliminated == plan_total
+        assert metrics.shared_subchains == (
             copy.shared_subchains + other.shared_subchains
         )
         batch = frontend.batches[0]
         assert batch.metrics.ops_eliminated == plan_total
-        assert batch.metrics.shared_subchains == result.metrics.shared_subchains
+        assert batch.metrics.shared_subchains == metrics.shared_subchains
         # A fully shared request is attributed zero-cost metrics.
         assert copy.metrics.latency_ns == 0.0
         assert copy.metrics.energy_j == 0.0
@@ -253,9 +256,9 @@ class TestCseAccounting:
         # CSE cache is batch-scoped (result vectors only live while their
         # batch executes).
         requests = _requests([0, 0])
-        _, result = _serve(requests, optimize=True, max_batch=1)
-        assert result.metrics.ops_eliminated == 0
-        assert result.metrics.shared_subchains == 0
+        _, metrics, _ = _serve(requests, optimize=True, max_batch=1)
+        assert metrics.ops_eliminated == 0
+        assert metrics.shared_subchains == 0
 
     def test_session_report_exposes_the_counters(self):
         session = PimSession(
@@ -287,14 +290,12 @@ class TestSubchainSplitting:
         # its whole chain on one bank set; split, its three predicate
         # sub-chains run on distinct lanes and host-join afterwards.
         request = _requests([2])[0]
-        _, serial = _serve(
+        _, _, (serial_q,) = _serve(
             [request], optimize=OptimizerConfig(cse=False, split_subchains=False)
         )
-        _, split = _serve(
+        _, split, (split_q,) = _serve(
             [request], optimize=OptimizerConfig(cse=False, split_subchains=True)
         )
-        (serial_q,) = serial.completed()
-        (split_q,) = split.completed()
         expected, _ = INDEX.evaluate_conjunction(list(request.predicates))
         assert np.array_equal(split_q.value, expected)
         # Host joins are charged like the cluster gather tree: 3 parts
@@ -306,6 +307,9 @@ class TestSubchainSplitting:
         split_service = split_q.finish_ns - split_q.start_ns
         serial_service = serial_q.finish_ns - serial_q.start_ns
         assert split_service < serial_service
+        # The host-lane merge tail ends after the last device lane drains;
+        # the report's makespan (window opened at t=0) still covers it.
+        assert split.makespan_ns >= split_q.finish_ns
 
     def test_split_mode_unpins_conjunction_admission(self):
         frontend = ServiceFrontend(
@@ -519,7 +523,7 @@ class TestHorizonUrgency:
         )
         return frontend, horizon
 
-    def _run_race(self, horizon_urgency):
+    def _run_race(self, serve, horizon_urgency):
         frontend, horizon = self._arena(horizon_urgency)
         rng = np.random.default_rng(1)
 
@@ -539,21 +543,21 @@ class TestHorizonUrgency:
             ArrivalEvent(request=urgent, arrival_ns=0.0, deadline_ns=deadline),
             ArrivalEvent(request=competitor, arrival_ns=horizon / 8.0),
         ]
-        result = frontend.run(events, name="urgency")
-        return result.records[0]
+        _, records = serve(frontend, events, name="urgency")
+        return records[0]
 
-    def test_horizon_urgency_saves_the_deadline(self):
+    def test_horizon_urgency_saves_the_deadline(self, serve):
         # Horizon-priced closing sees that the endangered request's lane
         # is busy until its latest viable start and dispatches it alone,
         # ahead of the heavier competitor: the deadline holds.
-        record = self._run_race(horizon_urgency=True)
+        record = self._run_race(serve, horizon_urgency=True)
         assert record.completed
         assert not record.deadline_missed
 
-    def test_now_priced_urgency_misses_it(self):
+    def test_now_priced_urgency_misses_it(self, serve):
         # "Now"-priced urgency sleeps until deadline-minus-slack, by
         # which time the competitor has joined the batch and is LPT'd
         # ahead on the same lane: the deadline is missed.
-        record = self._run_race(horizon_urgency=False)
+        record = self._run_race(serve, horizon_urgency=False)
         assert record.completed
         assert record.deadline_missed

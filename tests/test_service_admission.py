@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
+from repro.api import PimSession
 from repro.database.bitweaving import BitWeavingColumn
 from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
@@ -152,17 +153,18 @@ class TestLoadShedding:
         rng = np.random.default_rng(4)
         column = _random_column(rng)
         frontend = self._loaded_frontend(rng, bound_requests=2.0)
-        low = [frontend.offer(_scan(column, c), priority=0) for c in (1, 2)]
+        session = PimSession(frontend)
+        low = [session.submit(_scan(column, c), priority=0).record for c in (1, 2)]
         assert all(r.admitted for r in low)
-        urgent = frontend.offer(_scan(column, 3), priority=5)
+        urgent = session.submit(_scan(column, 3), priority=5).record
         assert urgent.admitted
         # The youngest low-priority request was shed to make room.
         assert not low[1].admitted
         assert low[1].rejected_reason == "shed"
         assert low[0].admitted
         assert frontend.shed_requests == 1
-        frontend.drain()
-        metrics = frontend.result().metrics
+        session.drain()
+        metrics = session.report().details
         assert metrics.shed == 1
         assert metrics.rejected == 1
         assert metrics.offered == metrics.admitted + metrics.rejected
@@ -270,7 +272,7 @@ class TestRetryClient:
         # Burst arrival: a 2-deep queue drops most of a one-shot stream.
         events = poisson_schedule(requests, rate_per_s=1e9, seed=9)
         client = RetryClient(
-            frontend,
+            PimSession(frontend),
             BackoffPolicy(base_ns=10_000.0, multiplier=2.0, max_attempts=6),
         )
         outcome = client.run(events)
@@ -301,7 +303,7 @@ class TestRetryClient:
         requests = [_scan(_random_column(rng)) for _ in range(3)]
         events = poisson_schedule(requests, rate_per_s=1e9, seed=10)
         client = RetryClient(
-            frontend, BackoffPolicy(base_ns=100.0, multiplier=2.0, max_attempts=3)
+            PimSession(frontend), BackoffPolicy(base_ns=100.0, multiplier=2.0, max_attempts=3)
         )
         outcome = client.run(events)
         assert outcome.gave_up > 0
@@ -312,10 +314,8 @@ class TestRetryClient:
 
     def test_jitter_is_seeded_and_bounded(self):
         policy = BackoffPolicy(base_ns=1000.0, multiplier=2.0, jitter=0.5)
-        rng_a = np.random.default_rng(1)
-        rng_b = np.random.default_rng(1)
-        delays_a = [policy.delay_ns(i, rng_a) for i in range(1, 5)]
-        delays_b = [policy.delay_ns(i, rng_b) for i in range(1, 5)]
+        delays_a = [policy.delay_ns(i, seed=1, key=0) for i in range(1, 5)]
+        delays_b = [policy.delay_ns(i, seed=1, key=0) for i in range(1, 5)]
         assert delays_a == delays_b
         for attempt, delay in enumerate(delays_a, start=1):
             nominal = 1000.0 * 2.0 ** (attempt - 1)
@@ -346,7 +346,7 @@ class TestRetryClient:
         requests = [_scan(_random_column(rng)) for _ in range(8)]
         events = poisson_schedule(requests, rate_per_s=1e9, seed=11)
         outcome = RetryClient(
-            cluster, BackoffPolicy(base_ns=10_000.0, max_attempts=6)
+            PimSession(cluster), BackoffPolicy(base_ns=10_000.0, max_attempts=6)
         ).run(events)
         assert outcome.delivered == len(requests)
-        assert outcome.result.metrics.completed == outcome.delivered
+        assert outcome.result.completed == outcome.delivered

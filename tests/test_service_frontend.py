@@ -25,7 +25,8 @@ from hypothesis import given, settings, strategies as st
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
-from repro.database.queries import QueryEngine, ScanBackend
+from repro.api import HostBackend, PimSession
+from repro.database.queries import QueryEngine
 from repro.database.tables import ColumnTable
 from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
@@ -144,17 +145,17 @@ class TestQueueSemantics:
 class TestAdmissionControl:
     def test_full_queue_rejects(self):
         rng = np.random.default_rng(4)
-        frontend = _frontend(max_queue_depth=3)
+        session = PimSession(_frontend(max_queue_depth=3))
         columns = [_random_column(rng, 6, 200) for _ in range(5)]
-        records = [frontend.offer(_scan(column)) for column in columns]
+        records = [session.submit(_scan(column)).record for column in columns]
         assert [r.admitted for r in records] == [True, True, True, False, False]
         assert all(r.rejected_reason == "queue_full" for r in records[3:])
-        frontend.drain()
-        result = frontend.result()
-        assert result.metrics.offered == 5
-        assert result.metrics.admitted == 3
-        assert result.metrics.rejected == 2
-        assert result.metrics.completed == 3
+        session.drain()
+        metrics = session.report().details
+        assert metrics.offered == 5
+        assert metrics.admitted == 3
+        assert metrics.rejected == 2
+        assert metrics.completed == 3
         # Rejected requests were never served.
         assert all(not r.completed and math.isnan(r.start_ns) for r in records[3:])
 
@@ -182,31 +183,32 @@ class TestAdmissionControl:
     def test_queue_drains_and_readmits(self):
         rng = np.random.default_rng(6)
         frontend = _frontend(max_queue_depth=2, policy=BatchPolicy(max_batch=2))
+        session = PimSession(frontend)
         column = _random_column(rng, 6, 200)
-        first = [frontend.offer(_scan(column, "less_than", c)) for c in (1, 2, 3)]
+        first = [session.submit(_scan(column, "less_than", c)).record for c in (1, 2, 3)]
         assert [r.admitted for r in first] == [True, True, False]
         frontend.serve_batch()
-        second = frontend.offer(_scan(column, "less_than", 4))
+        second = session.submit(_scan(column, "less_than", 4)).record
         assert second.admitted
-        frontend.drain()
-        assert frontend.result().metrics.completed == 3
+        session.drain()
+        assert session.report().details.completed == 3
 
 
 class TestDeadlines:
     def test_deadline_misses_are_counted(self):
         rng = np.random.default_rng(7)
-        frontend = _frontend(policy=BatchPolicy(max_batch=8))
+        session = PimSession(_frontend(policy=BatchPolicy(max_batch=8)))
         column = _random_column(rng, 8, 400)
-        impossible = frontend.offer(_scan(column), deadline_ns=1.0)
-        generous = frontend.offer(
+        impossible = session.submit(_scan(column), deadline_ns=1.0).record
+        generous = session.submit(
             _scan(_random_column(rng, 8, 400)), deadline_ns=1e12
-        )
-        frontend.drain()
+        ).record
+        session.drain()
         assert impossible.deadline_missed
         assert not generous.deadline_missed
-        assert frontend.result().metrics.deadline_misses == 1
+        assert session.report().details.deadline_misses == 1
 
-    def test_urgent_deadline_closes_batch_early(self):
+    def test_urgent_deadline_closes_batch_early(self, serve):
         rng = np.random.default_rng(8)
         policy = BatchPolicy(max_batch=64, window_ns=None, urgency_slack_ns=0.0)
         frontend = _frontend(policy=policy)
@@ -219,14 +221,14 @@ class TestDeadlines:
             arrival_times_ns=[0.0, 10 * latency],
             deadlines_ns=[latency * 1.5, None],
         )
-        result = frontend.run(events)
+        metrics = serve(frontend, events)[0].details
         # Without urgency the batch would wait for the second arrival (the
         # batch is far from full and no window is set); urgency must close
         # it in time to make the deadline.
-        assert result.metrics.deadline_misses == 0
-        assert result.metrics.batches == 2
+        assert metrics.deadline_misses == 0
+        assert metrics.batches == 2
 
-    def test_window_bounds_the_wait(self):
+    def test_window_bounds_the_wait(self, serve):
         rng = np.random.default_rng(9)
         window = 1e5
         frontend = _frontend(policy=BatchPolicy(max_batch=64, window_ns=window))
@@ -235,9 +237,9 @@ class TestDeadlines:
         # Arrivals spaced well inside the window, far fewer than max_batch:
         # only the window can close the batch before the stream ends.
         events = trace_schedule(scans, arrival_times_ns=[0.0, 1e4, 2e4, window + 2e4])
-        result = frontend.run(events)
-        assert result.metrics.batches >= 2
-        first_batch = [r for r in result.records if r.batch_index == 0]
+        report, records = serve(frontend, events)
+        assert report.details.batches >= 2
+        first_batch = [r for r in records if r.batch_index == 0]
         assert all(r.arrival_ns + window <= r.start_ns + 1e-6 or r.wait_ns <= window * 2
                    for r in first_batch)
 
@@ -251,7 +253,9 @@ class TestPipelineBitExactness:
         constants=st.lists(st.integers(0, 63), min_size=1, max_size=5),
         functional=st.booleans(),
     )
-    def test_pipeline_matches_sequential(self, num_bits, rows, seed, constants, functional):
+    def test_pipeline_matches_sequential(
+        self, serve, num_bits, rows, seed, constants, functional
+    ):
         """Acceptance: pipeline output == sequential output, same energy."""
         rng = np.random.default_rng(seed)
         columns = [_random_column(rng, num_bits, rows) for _ in range(2)]
@@ -274,13 +278,14 @@ class TestPipelineBitExactness:
         )
         requests = [ScanRequest(column=c, kind=k, constants=cs) for c, k, cs in scans]
         events = poisson_schedule(requests, rate_per_s=2e6, seed=seed)
-        result = frontend.run(events)
+        report, records = serve(frontend, events)
+        metrics = report.details
 
-        assert result.metrics.completed == len(scans)
-        assert result.metrics.rejected == 0
+        assert metrics.completed == len(scans)
+        assert metrics.rejected == 0
         query_engine = QueryEngine(ambit=frontend.executor.engine)
         serial_energy = 0.0
-        by_request = {id(r.request): r for r in result.records}
+        by_request = {id(r.request): r for r in records}
         for (column, kind, cs), request in zip(scans, requests):
             record = by_request[id(request)]
             expected, plan = column.scan(kind, *cs)
@@ -289,95 +294,96 @@ class TestPipelineBitExactness:
             assert record.metrics.latency_ns == pytest.approx(sequential.latency_ns)
             assert record.metrics.energy_j == pytest.approx(sequential.energy_j)
             serial_energy += sequential.energy_j
-        assert result.metrics.energy_j == pytest.approx(serial_energy)
+        assert metrics.energy_j == pytest.approx(serial_energy)
         # Bank overlap may only shrink the busy time, never the work.
-        assert result.metrics.busy_ns <= result.metrics.serial_latency_ns * (1 + 1e-9)
+        assert metrics.busy_ns <= metrics.serial_latency_ns * (1 + 1e-9)
 
-    def test_reused_frontend_reports_per_call_metrics(self):
-        """Regression: a second call on one frontend must not fold the
-        first call's traffic into its report, and arrivals must start at
-        the frontend's advanced clock (identical seeds => identical
-        per-call dynamics)."""
+    def test_reused_frontend_reports_per_call_metrics(self, serve):
+        """Regression: a second session on one frontend must not fold the
+        first session's traffic into its report, and arrivals starting at
+        the frontend's advanced clock replay the same dynamics (identical
+        seeds => identical per-session dynamics)."""
         rng = np.random.default_rng(18)
         executor = BatchExecutor(engine=_engine())
         frontend = ServiceFrontend(executor=executor, max_queue_depth=256)
-        query_engine = QueryEngine(ambit=executor.engine)
         columns = [_random_column(rng, 8, 400) for _ in range(3)]
-        scans = [(c, "less_than", (40,)) for c in columns]
-        first, first_metrics = query_engine.scan_query_pipeline(
-            scans, ScanBackend.AMBIT, rate_per_s=1e6, seed=1, frontend=frontend,
-            deadline_slack_ns=1e9,
+
+        def events():
+            requests = [_scan(c, "less_than", 40) for c in columns]
+            return poisson_schedule(
+                requests, rate_per_s=1e6, seed=1, deadline_slack_ns=1e9,
+                start_ns=frontend.clock_ns,
+            )
+
+        first_metrics = serve(frontend, events())[0].details
+        second_metrics = serve(frontend, events())[0].details
+        assert first_metrics.completed == len(columns)
+        assert second_metrics.completed == len(columns)
+        assert second_metrics.serial_latency_ns == pytest.approx(
+            first_metrics.serial_latency_ns
         )
-        second, second_metrics = query_engine.scan_query_pipeline(
-            scans, ScanBackend.AMBIT, rate_per_s=1e6, seed=1, frontend=frontend,
-            deadline_slack_ns=1e9,
-        )
-        assert first_metrics.completed == len(scans)
-        assert second_metrics.completed == len(scans)
-        assert second.serial_latency_ns == pytest.approx(first.serial_latency_ns)
-        assert second.energy_j == pytest.approx(first.energy_j)
+        assert second_metrics.energy_j == pytest.approx(first_metrics.energy_j)
         # Same seed and an idle frontend: the second call's queueing
         # dynamics replay the first call's, just shifted on the clock.
         assert second_metrics.wait_p50_ns == pytest.approx(first_metrics.wait_p50_ns)
         assert second_metrics.sojourn_p99_ns == pytest.approx(first_metrics.sojourn_p99_ns)
         assert second_metrics.deadline_misses == first_metrics.deadline_misses == 0
 
-    def test_caller_frontend_keeps_its_functional_flag(self):
-        """Regression: the pipeline call borrows, never overwrites, a
+    def test_caller_frontend_keeps_its_functional_flag(self, serve):
+        """Regression: a session serves through, never overwrites, a
         caller frontend's functional setting."""
         rng = np.random.default_rng(22)
-        executor = BatchExecutor(engine=_engine())
-        frontend = ServiceFrontend(executor=executor, functional=True)
-        query_engine = QueryEngine(ambit=executor.engine)
-        scans = [(_random_column(rng, 6, 200), "less_than", (20,))]
-        query_engine.scan_query_pipeline(
-            scans, ScanBackend.AMBIT, rate_per_s=1e6, frontend=frontend
-        )
-        assert frontend.functional is True  # None default: frontend's own setting
-        query_engine.scan_query_pipeline(
-            scans, ScanBackend.AMBIT, rate_per_s=1e6, frontend=frontend,
-            functional=False,
-        )
-        assert frontend.functional is True  # explicit False applied per call only
+        frontend = ServiceFrontend(executor=BatchExecutor(engine=_engine()), functional=True)
+        column = _random_column(rng, 6, 200)
+        for _ in range(2):
+            events = poisson_schedule(
+                [_scan(column, "less_than", 20)], rate_per_s=1e6,
+                start_ns=frontend.clock_ns,
+            )
+            serve(frontend, events)
+            assert frontend.functional is True
 
     def test_rejections_keep_result_to_query_mapping(self):
-        """Regression: rejected scans leave gaps; request_indices maps
-        each result back to its source query."""
+        """Regression: rejected scans leave gaps; each future still maps
+        back to its source query."""
         rng = np.random.default_rng(19)
-        executor = BatchExecutor(engine=_engine())
-        frontend = ServiceFrontend(executor=executor, max_queue_depth=2)
-        query_engine = QueryEngine(ambit=executor.engine)
+        session = PimSession(
+            ServiceFrontend(executor=BatchExecutor(engine=_engine()), max_queue_depth=2)
+        )
         columns = [_random_column(rng, 8, 400) for _ in range(6)]
         scans = [(c, "equal", (i * 7,)) for i, c in enumerate(columns)]
-        batch, metrics = query_engine.scan_query_pipeline(
-            scans, ScanBackend.AMBIT, rate_per_s=1e9, seed=4, frontend=frontend
-        )
+        requests = [_scan(c, kind, *cs) for c, kind, cs in scans]
+        futures = session.submit_stream(poisson_schedule(requests, rate_per_s=1e9, seed=4))
+        session.drain()
+        metrics = session.report().details
+        completed = [(i, f) for i, f in enumerate(futures) if f.done()]
         assert metrics.rejected > 0
-        assert len(batch.results) == metrics.completed < len(scans)
-        assert len(batch.request_indices) == len(batch.results)
-        for request_index, result in zip(batch.request_indices, batch.results):
+        assert len(completed) == metrics.completed < len(scans)
+        for request_index, future in completed:
             column, kind, constants = scans[request_index]
-            expected_bits, plan = column.scan(kind, *constants)
-            single = query_engine.execute_scan(
-                expected_bits, plan, column.num_rows, ScanBackend.AMBIT
+            expected_bits, _ = column.scan(kind, *constants)
+            assert future.result().matching_rows == BitmapIndex.count(
+                expected_bits, column.num_rows
             )
-            assert result.matching_rows == single.matching_rows
 
     def test_cpu_and_ambit_pipelines_agree_on_results(self):
         rng = np.random.default_rng(10)
         columns = [_random_column(rng, 8, 400) for _ in range(4)]
         scans = [(c, "between", (20, 180)) for c in columns]
-        query_engine = QueryEngine(ambit=_engine())
+        engine = _engine()
         outcomes = {}
-        for backend in (ScanBackend.CPU, ScanBackend.AMBIT):
-            batch, metrics = query_engine.scan_query_pipeline(
-                scans, backend, rate_per_s=1e6, seed=3
-            )
-            assert metrics.completed == len(scans)
-            outcomes[backend] = batch
-        cpu, ambit = outcomes[ScanBackend.CPU], outcomes[ScanBackend.AMBIT]
-        assert [q.matching_rows for q in cpu.results] == [
-            q.matching_rows for q in ambit.results
+        for tier, backend in (
+            ("host", HostBackend(coster=QueryEngine(ambit=engine))),
+            ("service", ServiceFrontend(executor=BatchExecutor(engine=engine))),
+        ):
+            session = PimSession(backend)
+            requests = [_scan(c, kind, *cs) for c, kind, cs in scans]
+            futures = session.submit_stream(poisson_schedule(requests, rate_per_s=1e6, seed=3))
+            session.drain()
+            assert session.report().completed == len(scans)
+            outcomes[tier] = [f.result() for f in futures]
+        assert [q.matching_rows for q in outcomes["host"]] == [
+            q.matching_rows for q in outcomes["service"]
         ]
 
 
@@ -441,18 +447,20 @@ class TestBitmapConjunctionLowering:
     def test_conjunctions_lower_through_query_engine(self):
         rng = np.random.default_rng(13)
         index = _bitmap_index(rng)
-        query_engine = QueryEngine(ambit=_engine())
+        engine = _engine()
         conjunctions = [
             [("region", [1, 2]), ("status", [0])],
             [("region", [3]), ("status", [1, 2])],
         ]
-        batch = query_engine.bitmap_conjunction_query_batch(
-            index, conjunctions, ScanBackend.AMBIT, functional=True
+        batched = PimSession(
+            ServiceFrontend(executor=BatchExecutor(engine=engine), functional=True)
         )
-        for predicates, result in zip(conjunctions, batch.results):
-            single = query_engine.bitmap_conjunction_query(
-                index, predicates, ScanBackend.AMBIT
-            )
+        futures = [batched.conjunction(index, predicates) for predicates in conjunctions]
+        batched.drain()
+        for predicates, future in zip(conjunctions, futures):
+            result = future.result()
+            alone = PimSession(ServiceFrontend(executor=BatchExecutor(engine=engine)))
+            single = alone.conjunction(index, predicates).result()
             assert result.matching_rows == single.matching_rows
             assert result.latency_ns == pytest.approx(single.latency_ns)
             assert result.energy_j == pytest.approx(single.energy_j)

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ambit.bitvector import BulkBitVector
 from repro.ambit.engine import AmbitConfig, AmbitEngine
+from repro.api import PimSession
 from repro.cluster import ClusterFrontend, ShardRouter
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
@@ -386,13 +387,14 @@ class TestGatherMergeTree:
             engine_factory=lambda: _engine(),
         )
         cluster.router.register_names(index.indexed_columns())
-        record = cluster.offer(
+        session = PimSession(cluster)
+        record = session.submit(
             BitmapConjunctionRequest(
                 index=index,
                 predicates=(("a", (0, 1)), ("b", (0, 1)), ("c", (0, 1)), ("d", (0, 1))),
             )
-        )
-        cluster.drain()
+        ).record
+        session.drain()
         assert record.completed and record.fanout == 4
         # Tree depth 2, not the serial 3 merges a chain would charge.
         assert record.host_merge_ns == pytest.approx(2 * cluster.merge_ns_per_op)
@@ -404,7 +406,7 @@ class TestGatherMergeTree:
         )
         assert np.array_equal(record.value, expected)
         # The op *count* is still the work performed (3 ANDs).
-        assert cluster.result().metrics.merge_ops == 3
+        assert session.report().details.merge_ops == 3
 
 
 class TestDrainAndReuse:
@@ -423,11 +425,12 @@ class TestDrainAndReuse:
 
     def test_result_makespan_covers_inflight_work(self):
         frontend = _frontend(pipeline=True, policy=BatchPolicy(max_batch=2))
+        session = PimSession(frontend)
         rng = np.random.default_rng(17)
         for _ in range(2):
-            frontend.offer(_scan(_random_column(rng)))
+            session.submit(_scan(_random_column(rng)))
         frontend.serve_batch()
-        metrics = frontend.result().metrics
+        metrics = session.report().details
         assert metrics.makespan_ns == pytest.approx(frontend.completion_ns)
         assert metrics.makespan_ns > frontend.clock_ns or math.isclose(
             frontend.clock_ns, frontend.completion_ns
@@ -437,8 +440,6 @@ class TestDrainAndReuse:
         """Regression: a mid-stream session report over a pipelined
         backend must not report a makespan shorter than its completed
         sojourns (the dispatch clock lags the lane horizons)."""
-        from repro.api import PimSession
-
         frontend = _frontend(pipeline=True, policy=BatchPolicy(max_batch=4))
         session = PimSession(frontend)
         rng = np.random.default_rng(19)

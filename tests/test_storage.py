@@ -236,7 +236,7 @@ class TestWriteCosts:
             )
         )
         frontend.drain()
-        (record,) = frontend.result().completed()
+        (record,) = [r for r in frontend.records if r.completed]
         assert is_write_request(record.request)
         assert record.value == 3  # rows affected is the response value
         assert record.metrics.latency_ns > 0
@@ -276,7 +276,7 @@ class TestWriteCosts:
         )
         frontend.offer(DeleteRequest(table=table, index=index, row_ids=[0, 4, 7]))
         frontend.drain()
-        append_record, delete_record = frontend.result().completed()
+        append_record, delete_record = [r for r in frontend.records if r.completed]
         assert append_record.value == 2
         assert delete_record.value == 3
 

@@ -402,42 +402,43 @@ def _workload(table: ColumnTable, index: BitmapIndex):
 
 class TestSanitizeKnob:
     @pytest.mark.parametrize("pipeline", [True, False])
-    def test_service_tier_clean_under_sanitize(self, table, index, pipeline):
+    def test_service_tier_clean_under_sanitize(self, serve, table, index, pipeline):
         executor = BatchExecutor(pipeline=pipeline, sanitize=True)
         frontend = ServiceFrontend(executor=executor)
-        result = frontend.run(_workload(table, index))
-        assert len(result.completed()) == 20
+        report, records = serve(frontend, _workload(table, index))
+        assert report.completed == 20
         # Same workload without the sanitizer: identical results (the
         # checker is read-only).
         baseline = ServiceFrontend(executor=BatchExecutor(pipeline=pipeline))
-        expected = baseline.run(_workload(table, index))
-        for got, want in zip(result.completed(), expected.completed()):
+        _, expected = serve(baseline, _workload(table, index))
+        for got, want in zip(records, expected):
+            assert got.completed and want.completed
             assert np.array_equal(got.value, want.value)
 
     @pytest.mark.parametrize("pipeline", [True, False])
-    def test_cluster_tier_clean_under_sanitize(self, table, index, pipeline):
+    def test_cluster_tier_clean_under_sanitize(self, serve, table, index, pipeline):
         cluster = ClusterFrontend(
             num_shards=3, router=ShardRouter(3), pipeline=pipeline, sanitize=True
         )
-        result = cluster.run(_workload(table, index))
-        assert len(result.completed()) == 20
-        for record in result.completed():
+        report, records = serve(cluster, _workload(table, index))
+        assert report.completed == 20
+        for record in records:
             if isinstance(record.request, BitmapConjunctionRequest):
                 expected, _ = index.evaluate_conjunction(list(record.request.predicates))
                 assert np.array_equal(record.value, expected)
 
-    def test_audit_report_over_sanitized_run(self, table, index):
+    def test_audit_report_over_sanitized_run(self, serve, table, index):
         executor = BatchExecutor(pipeline=True, sanitize=True)
         frontend = ServiceFrontend(executor=executor)
-        frontend.run(_workload(table, index))
+        serve(frontend, _workload(table, index))
         audit = audit_executor(executor)
         assert audit.ok and audit.report.placements == executor.lanes.requests
         rendered = render_audit([audit])
         assert "ok" in rendered and "executor" in rendered
 
-    def test_audit_report_over_cluster(self, table, index):
+    def test_audit_report_over_cluster(self, serve, table, index):
         cluster = ClusterFrontend(num_shards=2, sanitize=True)
-        cluster.run(_workload(table, index))
+        serve(cluster, _workload(table, index))
         audits = audit_cluster(cluster)
         assert len(audits) == 2 and all(a.ok for a in audits)
 
