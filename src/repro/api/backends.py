@@ -34,6 +34,7 @@ from repro.service.requests import (
     FrontendRequest,
     QueuedRequest,
     ScanRequest,
+    invalid_input,
 )
 
 
@@ -78,9 +79,10 @@ class HostBackend:
     :meth:`QueryEngine.cpu_scan_cost`).  A single core offers no bank
     overlap, so service is a FIFO single-server queue: each request
     starts at ``max(clock, arrival)`` and occupies the server for its
-    full scan latency.  Admission never rejects — the envelope surface
-    (waits, sojourns, deadline misses) still fills in, so host and PIM
-    tiers report through one shape.
+    full scan latency.  Admission rejects only malformed input (as
+    ``"invalid"``, like the PIM tiers) — the envelope surface (waits,
+    sojourns, deadline misses) still fills in, so host and PIM tiers
+    report through one shape.
 
     Args:
         coster: Query cost model supplying ``cpu_scan_cost`` (a default
@@ -99,9 +101,8 @@ class HostBackend:
         deadline_ns: Optional[float] = None,
         arrival_ns: Optional[float] = None,
     ) -> QueuedRequest:
-        """Serve one request immediately (FIFO single server, no rejection)."""
+        """Serve one request immediately (FIFO single server)."""
         arrival = self.clock_ns if arrival_ns is None else float(arrival_ns)
-        self.clock_ns = max(self.clock_ns, arrival)
         queued = QueuedRequest(
             request=request,
             arrival_ns=arrival,
@@ -110,6 +111,11 @@ class HostBackend:
             seq=len(self.records),
         )
         self.records.append(queued)
+        if invalid_input(request, arrival, deadline_ns):
+            queued.admitted = False
+            queued.rejected_reason = "invalid"
+            return queued
+        self.clock_ns = max(self.clock_ns, arrival)
         value, metrics = self._execute(request)
         queued.modeled_ns = metrics.latency_ns
         queued.start_ns = self.clock_ns

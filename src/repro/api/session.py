@@ -61,7 +61,7 @@ from repro.api.plans import (
 from repro.cluster.frontend import FAILURE_REASONS
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.queries import QueryEngine
-from repro.obs import NULL_OBSERVER, Observer, resolve_observe
+from repro.obs import Observer, resolve_observe
 from repro.service.frontend import ArrivalEvent
 
 
@@ -375,11 +375,13 @@ class PimSession:
             materialization).  Defaults to a :class:`QueryEngine` sharing
             the backend's engine.
         name: Default label of this session's reports.
-        observe: Observability plane (``repro.obs``): ``True`` binds a
-            fresh recording :class:`~repro.obs.Observer` to the backend
-            (span trees per request, counters/histograms in
-            ``report().obs``); an observer shares a plane.  ``False``
-            (the default) adopts whatever plane the backend already
+        observe: Tracing (``repro.obs``): ``True`` attaches a fresh
+            tracer to the backend (span trees per request, plus the
+            backend's counters/histograms in ``report().obs``); an
+            observer lends its tracer.  Either way the backend keeps its
+            own metrics registry, so opening a traced session over a
+            warm backend never resets or forks its counts.  ``False``
+            (the default) adopts whatever tracer the backend already
             carries, so ``PimSession.over_service(observe=True)`` — the
             knob forwarded to the frontend — also lights up the session
             surface.  The host backend has no spans (it executes
@@ -396,13 +398,10 @@ class PimSession:
         self.backend = backend
         self.name = name
         self.tier = self._tier_of(backend)
-        if observe is False:
-            self.obs = getattr(backend, "obs", NULL_OBSERVER)
-        else:
-            self.obs = resolve_observe(observe)
-            binder = getattr(backend, "bind_observer", None)
-            if binder is not None:
-                binder(self.obs)
+        binder = getattr(backend, "bind_observer", None)
+        if observe is not False and binder is not None:
+            binder(resolve_observe(observe))
+        self.obs: Observer = getattr(backend, "obs", None) or resolve_observe(observe)
         self.futures: List[Future] = []
         self._coster = coster or self._default_coster()
         # Window snapshot: report() covers only this session's traffic.
@@ -603,12 +602,16 @@ class PimSession:
 
         Arrivals are processed in virtual-time order: before each offer
         the backend advances to the arrival, serving whatever its policy
-        closes in between.  Follow with :meth:`drain` and :meth:`report`
-        to serve and summarize the whole stream.
+        closes in between.  Events with a non-finite arrival go last and
+        come back rejected as ``"invalid"``.  Follow with :meth:`drain`
+        and :meth:`report` to serve and summarize the whole stream.
         """
         events = list(events)
         futures: List[Optional[Future]] = [None] * len(events)
-        order = sorted(range(len(events)), key=lambda i: events[i].arrival_ns)
+        order = sorted(
+            range(len(events)),
+            key=lambda i: (not math.isfinite(events[i].arrival_ns), events[i].arrival_ns),
+        )
         for i in order:
             event = events[i]
             futures[i] = self.submit(
@@ -829,8 +832,10 @@ class PimSession:
     def _submit(self, spec, request, kind, priority, deadline_ns, at_ns) -> Future:
         arrival = self.backend.clock_ns if at_ns is None else float(at_ns)
         # Serve whatever the policy closes before this arrival, so
-        # admission sees the live queue.
-        self.backend.advance_to(arrival)
+        # admission sees the live queue.  A non-finite arrival moves no
+        # clock: the backend rejects it as invalid at the door.
+        if math.isfinite(arrival):
+            self.backend.advance_to(arrival)
         record = self.backend.offer(
             request, priority=priority, deadline_ns=deadline_ns, arrival_ns=arrival
         )

@@ -3,10 +3,12 @@
 :class:`ElasticController` is the closed-loop half of the cluster's
 elasticity story: it ticks on the cluster's **virtual clock** (the
 frontend fires :meth:`run_due` from ``advance_to``/``drain``, exactly
-like a scheduled fault event) and decides from the **observability
-plane only** — it reads ``Observer.snapshot()`` gauges and counters, not
-private frontend state, per the ROADMAP's rule that control decisions
-must flow through the same signals an operator would watch:
+like a scheduled fault event) and decides from the **metrics registry
+only** — it reads the cluster's always-on registry snapshot (gauges and
+counters), not private frontend state, per the ROADMAP's rule that
+control decisions must flow through the same signals an operator would
+watch.  The registry is written whether or not the cluster traces, so
+attaching a controller never switches tracing on:
 
 * ``cluster.backlog_ns.shard<i>`` / ``cluster.imbalance`` — queue skew;
 * ``cluster.rejection_rate`` — admission pressure;
@@ -41,8 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-from repro.obs import resolve_observe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.frontend import ClusterFrontend
@@ -119,9 +119,8 @@ class ElasticController:
     """Watches the obs plane and resizes/re-places the cluster.
 
     Registers itself as ``cluster.controller`` so the frontend's event
-    loop fires its ticks; a cluster built without ``observe=`` gets a
-    recording observer bound (the controller cannot read a null plane —
-    and recording never changes schedules or results).
+    loop fires its ticks.  It reads the cluster's registry as it stands
+    and leaves the cluster's tracer alone.
 
     Args:
         cluster: The frontend to control.
@@ -138,8 +137,6 @@ class ElasticController:
     ) -> None:
         self.cluster = cluster
         self.policy = policy or ControllerPolicy()
-        if not cluster.obs.enabled:
-            cluster.bind_observer(resolve_observe(True))
         self._next_tick = float(start_ns) + self.policy.interval_ns
         #: Decision audit log, in tick order.
         self.events: List[ScaleEvent] = []

@@ -60,6 +60,7 @@ from repro.service.requests import (
     FrontendRequest,
     QueuedRequest,
     ScanRequest,
+    invalid_input,
 )
 from repro.storage.maintenance import MaintenancePolicy, resolve_maintenance
 from repro.storage.requests import WriteRequest, charged_columns, is_write_request
@@ -257,13 +258,16 @@ class ClusterFrontend:
             For pre-built ``shards`` the policy still drives the
             coordinator's functional write step, but each shard keeps
             its planner's own policy for charging.
-        observe: Observability plane (``repro.obs``): ``True`` records
-            one span tree per cluster request (scatter → per-shard parts
-            → gather-merge) with every shard's frontend and executor
-            sharing the plane (shard-prefixed lane tracks), plus
-            cluster-level counters/histograms.  Applies to pre-built
-            ``shards`` too (they are re-bound).  Recording never changes
-            routing, admission, schedules, or results.
+        observe: Tracing (``repro.obs``): ``True`` records one span
+            tree per cluster request (scatter → per-shard parts →
+            gather-merge) with every shard's frontend and executor
+            sharing the tracer (shard-prefixed lane tracks).  The
+            cluster owns one metrics registry either way, shared into
+            every shard (pre-built and joined ones too) and the
+            maintenance policy; its counters, gauges and histograms —
+            failover and scale counts included — are always written.
+            Tracing never changes routing, admission, schedules, or
+            results.
     """
 
     #: Default host cost of AND-merging two 8 KiB partial bitmaps.
@@ -323,10 +327,7 @@ class ClusterFrontend:
         self.records: List[ClusterRecord] = []
         self.clock_ns = 0.0
         self._seq = 0
-        self.obs = resolve_observe(False)
-        resolved = resolve_observe(observe)
-        if resolved.enabled:
-            self.bind_observer(resolved)
+        self._share_plane(resolve_observe(observe))
         # Shard views per index, pinned by the index object itself (id()
         # reuse must not hand one index's placement to another) and by
         # the router's placement epoch (live re-placement, joins, and
@@ -339,17 +340,6 @@ class ClusterFrontend:
         #: (:class:`~repro.cluster.controller.ElasticController` registers
         #: itself here).
         self.controller: Optional["ElasticController"] = None
-        # Elastic accounting (mirrors the cluster.failover.* and
-        # cluster.scale.* obs counters, so obs-off runs still report).
-        self.shards_failed = 0
-        self.shards_revived = 0
-        self.shards_joined = 0
-        self.shards_retired = 0
-        self.failover_parts = 0
-        self.failover_records_failed = 0
-        self.replications = 0
-        self.copied_bytes = 0
-        self.copy_ns_total = 0.0
 
     def _build_shard(self) -> ServiceFrontend:
         return ServiceFrontend(
@@ -365,32 +355,30 @@ class ClusterFrontend:
     # Observability
     # ------------------------------------------------------------------
     def bind_observer(self, obs: Observer) -> None:
-        """Share one observability plane across the whole cluster.
+        """Trace the whole cluster into ``obs``'s tracer; the cluster's
+        registry stays, so attaching a tracer never resets its counts."""
+        self._share_plane(Observer(tracer=obs.tracer, metrics=self.obs.metrics))
 
-        Every shard frontend and executor records into the same tracer
-        and metrics registry; each shard's executor gets a ``shard<i>/``
-        track prefix so identical bank keys on different shard devices
-        stay distinct Perfetto tracks.
-        """
+    def _share_plane(self, obs: Observer) -> None:
+        """Record the whole cluster into one plane: every shard frontend
+        and executor, and the maintenance policy, share its tracer and
+        registry; each shard's executor gets a ``shard<i>/`` track prefix
+        so identical bank keys on different shard devices stay distinct
+        Perfetto tracks."""
         self.obs = obs
+        self.maintenance.metrics = obs.metrics
         for shard_id, shard in enumerate(self.shards):
             shard.executor.obs_prefix = f"shard{shard_id}/"
-            shard.bind_observer(obs)
-
-    def _obs_offered(self, record: ClusterRecord) -> None:
-        """Open the cluster record's root span at arrival."""
-        record.trace = self.obs.tracer.span(
-            "cluster_request", category="cluster", start_ns=record.arrival_ns
-        ).set(
-            kind=type(record.request).__name__,
-            seq=record.seq,
-            priority=record.priority,
-        )
-        self.obs.metrics.counter("cluster.offered").inc()
+            shard.share_plane(obs)
 
     def _obs_scattered(self, record: ClusterRecord) -> None:
-        """Record the scatter outcome and adopt the part spans."""
+        """Count the scatter outcome; when tracing, adopt the part spans."""
+        registry = self.obs.metrics
+        registry.counter("cluster.fanout").inc(float(record.fanout))
+        registry.counter("cluster.admitted" if record.admitted else "cluster.rejected").inc()
         span = record.trace
+        if span is None:
+            return
         span.child(
             "scatter",
             category="cluster",
@@ -405,15 +393,10 @@ class ClusterFrontend:
             if part.trace is not None:
                 part.trace.set(shard=shard_id)
                 self.obs.tracer.adopt(part.trace, span)
-        registry = self.obs.metrics
-        registry.counter("cluster.fanout").inc(float(record.fanout))
-        if record.admitted:
-            registry.counter("cluster.admitted").inc()
-        else:
+        if not record.admitted:
             span.end(record.arrival_ns).set(
                 status="rejected", reason=record.rejected_reason
             )
-            registry.counter("cluster.rejected").inc()
 
     def _obs_key_reads(self, request: FrontendRequest) -> None:
         """Count per-key read touches (the controller's hotness signal)."""
@@ -427,7 +410,14 @@ class ClusterFrontend:
                 registry.counter(f"cluster.key_reads.{label}").inc()
 
     def _obs_gathered(self, record: ClusterRecord, tree_depth: int) -> None:
-        """Attach the gather-merge child and close the record's root."""
+        """Count the completion; when tracing, attach the gather-merge
+        child and close the record's root."""
+        registry = self.obs.metrics
+        registry.counter("cluster.completed").inc()
+        registry.counter("cluster.merge_ops").inc(float(max(0, len(record.parts) - 1)))
+        registry.histogram("cluster.sojourn_ns").observe(record.sojourn_ns)
+        if record.host_merge_ns > 0.0:
+            registry.histogram("cluster.host_merge_ns").observe(record.host_merge_ns)
         span = record.trace
         if span is None:
             return
@@ -441,12 +431,6 @@ class ClusterFrontend:
         span.end(record.finish_ns).set(
             status="completed", deadline_missed=record.deadline_missed
         )
-        registry = self.obs.metrics
-        registry.counter("cluster.completed").inc()
-        registry.counter("cluster.merge_ops").inc(float(max(0, len(record.parts) - 1)))
-        registry.histogram("cluster.sojourn_ns").observe(record.sojourn_ns)
-        if record.host_merge_ns > 0.0:
-            registry.histogram("cluster.host_merge_ns").observe(record.host_merge_ns)
 
     # ------------------------------------------------------------------
     # Load and placement
@@ -496,10 +480,11 @@ class ClusterFrontend:
         Scans go to the least-loaded replica of their column's shard set;
         conjunctions scatter into shard-local sub-conjunctions; everything
         else goes to the least-loaded shard.  Scatter admission is
-        all-or-nothing: one refused part withdraws the rest.
+        all-or-nothing: one refused part withdraws the rest.  Malformed
+        input (see :func:`~repro.service.requests.invalid_input`) is
+        rejected as ``"invalid"`` before any clock moves.
         """
         arrival = self.clock_ns if arrival_ns is None else float(arrival_ns)
-        self.clock_ns = max(self.clock_ns, arrival)
         record = ClusterRecord(
             request=request,
             arrival_ns=arrival,
@@ -509,8 +494,19 @@ class ClusterFrontend:
         )
         self._seq += 1
         self.records.append(record)
+        registry = self.obs.metrics
+        registry.counter("cluster.offered").inc()
+        if invalid_input(request, arrival, deadline_ns):
+            record.admitted = False
+            record.rejected_reason = "invalid"
+            registry.counter("cluster.rejected.invalid").inc()
+            self._obs_scattered(record)
+            return record
+        self.clock_ns = max(self.clock_ns, arrival)
         if self.obs.enabled:
-            self._obs_offered(record)
+            record.trace = self.obs.tracer.span(
+                "cluster_request", category="cluster", start_ns=arrival
+            ).set(kind=type(request).__name__, seq=record.seq, priority=priority)
 
         load = lambda shard: self.shard_load(shard, arrival)  # noqa: E731
         try:
@@ -528,12 +524,10 @@ class ClusterFrontend:
             # the session layer) instead of serving a wrong answer.
             record.admitted = False
             record.rejected_reason = "shard_unavailable"
-            if self.obs.enabled:
-                self.obs.metrics.counter("cluster.failover.unavailable").inc()
-                self._obs_scattered(record)
+            registry.counter("cluster.failover.unavailable").inc()
+            self._obs_scattered(record)
             return record
-        if self.obs.enabled:
-            self._obs_key_reads(request)
+        self._obs_key_reads(request)
 
         for shard_id, sub_request in plan:
             part = self.shards[shard_id].offer(
@@ -556,8 +550,7 @@ class ClusterFrontend:
             # the coordinator, only after the all-or-nothing admission
             # held (a rejected write must not mutate the table).
             self._commit_write(request, record)
-        if self.obs.enabled:
-            self._obs_scattered(record)
+        self._obs_scattered(record)
         return record
 
     def _scatter_write(
@@ -786,9 +779,7 @@ class ClusterFrontend:
         now = self.clock_ns if at_ns is None else float(at_ns)
         if not self.router.mark_down(shard_id):
             return False
-        self.shards_failed += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("cluster.failover.kills").inc()
+        self.obs.metrics.counter("cluster.failover.kills").inc()
         self._migrate_queued(shard_id, now, reason="shard_failed")
         return True
 
@@ -799,9 +790,7 @@ class ClusterFrontend:
         del at_ns  # revival is a pure health flip; nothing to reschedule
         if not self.router.mark_up(shard_id):
             return False
-        self.shards_revived += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("cluster.failover.revives").inc()
+        self.obs.metrics.counter("cluster.failover.revives").inc()
         return True
 
     def drain_shard(self, shard_id: int, at_ns: Optional[float] = None) -> bool:
@@ -811,8 +800,7 @@ class ClusterFrontend:
         if not self.router.is_routable(shard_id):
             return False
         self.router.mark_draining(shard_id)
-        if self.obs.enabled:
-            self.obs.metrics.counter("cluster.scale.drains").inc()
+        self.obs.metrics.counter("cluster.scale.drains").inc()
         self._migrate_queued(shard_id, now, reason="shard_draining")
         return True
 
@@ -844,9 +832,7 @@ class ClusterFrontend:
                 self.add_replica(key, target, at_ns=now, force=True)
             self.router.drop_replica(key, shard_id)
         self.router.retire(shard_id)
-        self.shards_retired += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("cluster.scale.retires").inc()
+        self.obs.metrics.counter("cluster.scale.retires").inc()
         return True
 
     def join_shard(self, at_ns: Optional[float] = None) -> int:
@@ -865,12 +851,10 @@ class ClusterFrontend:
                 "router and cluster shard counts diverged on join "
                 f"(router says {new_id}, cluster has {len(self.shards)} shards)"
             )
-        if self.obs.enabled:
-            # Re-bind so the joined shard records into the shared plane
-            # with its own shard-prefixed lane tracks.
-            self.bind_observer(self.obs)
-            self.obs.metrics.counter("cluster.scale.joins").inc()
-        self.shards_joined += 1
+        # Re-share so the joined shard records into the cluster's plane
+        # with its own shard-prefixed lane tracks.
+        self._share_plane(self.obs)
+        self.obs.metrics.counter("cluster.scale.joins").inc()
         return new_id
 
     def _migrate_queued(self, shard_id: int, now: float, reason: str) -> int:
@@ -981,10 +965,8 @@ class ClusterFrontend:
         record.parts[k : k + 1] = new_parts
         record.migrated_parts.append(part)
         record.failovers += 1
-        self.failover_parts += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("cluster.failover.migrated_parts").inc()
-            self.obs.metrics.counter("cluster.failover.reoffers").inc(float(len(plan)))
+        self.obs.metrics.counter("cluster.failover.migrated_parts").inc()
+        self.obs.metrics.counter("cluster.failover.reoffers").inc(float(len(plan)))
         # A replacement refused by target admission flows through the
         # existing all-or-nothing rejection in _finalize_records.
         return len(new_parts)
@@ -997,13 +979,11 @@ class ClusterFrontend:
         for shard, sibling in zip(record.shard_ids, record.parts):
             if sibling.admitted and not sibling.completed:
                 self.shards[shard].cancel(sibling, reason=reason)
-        self.failover_records_failed += 1
-        if self.obs.enabled:
-            registry = self.obs.metrics
-            registry.counter("cluster.failover.records_failed").inc()
-            registry.counter("cluster.rejected").inc()
-            if record.trace is not None:
-                record.trace.end(now).set(status="failed", reason=reason)
+        registry = self.obs.metrics
+        registry.counter("cluster.failover.records_failed").inc()
+        registry.counter("cluster.rejected").inc()
+        if record.trace is not None:
+            record.trace.end(now).set(status="failed", reason=reason)
 
     # ------------------------------------------------------------------
     # Elasticity (controller surface)
@@ -1034,15 +1014,10 @@ class ClusterFrontend:
         if not copy.admitted and not force:
             return False
         self.router.add_replica(key, shard_id)
-        self.replications += 1
-        self.copied_bytes += num_bytes
-        copy_ns = copy.modeled_ns if copy.admitted else 0.0
-        self.copy_ns_total += copy_ns
-        if self.obs.enabled:
-            registry = self.obs.metrics
-            registry.counter("cluster.scale.replications").inc()
-            registry.counter("cluster.scale.copied_bytes").inc(float(num_bytes))
-            registry.counter("cluster.scale.copy_ns").inc(copy_ns)
+        registry = self.obs.metrics
+        registry.counter("cluster.scale.replications").inc()
+        registry.counter("cluster.scale.copied_bytes").inc(float(num_bytes))
+        registry.counter("cluster.scale.copy_ns").inc(copy.modeled_ns if copy.admitted else 0.0)
         return True
 
     def _replica_bytes(self, key) -> int:
@@ -1064,8 +1039,6 @@ class ClusterFrontend:
     def publish_gauges(self, at_ns: Optional[float] = None) -> None:
         """Publish the cluster health gauges the controller reads:
         per-shard backlog, imbalance factor, pool size, rejection rate."""
-        if not self.obs.enabled:
-            return
         now = self.clock_ns if at_ns is None else float(at_ns)
         registry = self.obs.metrics
         routable = self.router.routable_shards()
@@ -1090,18 +1063,20 @@ class ClusterFrontend:
         )
 
     def elastic_summary(self) -> Dict[str, Any]:
-        """Failover/scale accounting for :class:`ClusterMetrics` (kept as
-        plain attributes so obs-off runs report identically)."""
+        """Failover/scale accounting for :class:`ClusterMetrics`: the
+        cluster-lifetime ``cluster.failover.*``/``cluster.scale.*``
+        counts, read from the always-on registry."""
+        count = self.obs.metrics.count
         return {
-            "shard_failures": self.shards_failed,
-            "shard_revivals": self.shards_revived,
-            "shards_joined": self.shards_joined,
-            "shards_retired": self.shards_retired,
-            "failovers": self.failover_parts,
-            "failover_failures": self.failover_records_failed,
-            "replications": self.replications,
-            "copied_bytes": self.copied_bytes,
-            "copy_ns": self.copy_ns_total,
+            "shard_failures": int(count("cluster.failover.kills")),
+            "shard_revivals": int(count("cluster.failover.revives")),
+            "shards_joined": int(count("cluster.scale.joins")),
+            "shards_retired": int(count("cluster.scale.retires")),
+            "failovers": int(count("cluster.failover.migrated_parts")),
+            "failover_failures": int(count("cluster.failover.records_failed")),
+            "replications": int(count("cluster.scale.replications")),
+            "copied_bytes": int(count("cluster.scale.copied_bytes")),
+            "copy_ns": count("cluster.scale.copy_ns"),
         }
 
     # ------------------------------------------------------------------
@@ -1170,10 +1145,10 @@ class ClusterFrontend:
                 for shard, sibling in zip(record.shard_ids, record.parts):
                     if sibling.admitted and not sibling.completed:
                         self.shards[shard].cancel(sibling)
+                self.obs.metrics.counter("cluster.rejected").inc()
                 if record.trace is not None:
                     record.trace.end(self.clock_ns).set(
                         status="rejected", reason=record.rejected_reason
                     )
-                    self.obs.metrics.counter("cluster.rejected").inc()
             if record.completed and math.isnan(record.finish_ns):
                 self._gather(record)

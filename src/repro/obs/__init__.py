@@ -6,15 +6,20 @@ tracing a run is bit-exact with not tracing it (property-tested in
 ``tests/test_obs.py``).  Wall-clock imports are banned here by the
 ``obs-wall-clock`` rule in ``tools/lint_invariants.py``.
 
-The public knob is ``observe=`` on :class:`~repro.service.BatchExecutor`,
+**Metrics are always on.**  Every backend
+(:class:`~repro.service.BatchExecutor`,
 :class:`~repro.service.ServiceFrontend`,
-:class:`~repro.cluster.ClusterFrontend`, and
-:class:`~repro.api.PimSession`:
+:class:`~repro.cluster.ClusterFrontend`) owns one
+:class:`MetricsRegistry` from construction — its one ledger — and
+always writes it; a service frontend shares its executor's, a cluster
+shares its own into every shard and its maintenance policy.
 
-* ``observe=False`` (default) — the shared :data:`NULL_OBSERVER`; hot
-  paths allocate no span objects.
-* ``observe=True`` — a fresh recording :class:`Observer`.
-* ``observe=<Observer>`` — share one plane across components.
+**``observe=`` chooses only the tracer** (on those backends and on
+:class:`~repro.api.PimSession`): ``False`` (default) is
+:data:`NULL_TRACER`, whose hot paths allocate no span objects; ``True``
+a fresh :class:`Tracer`; an :class:`Observer` shares its whole plane at
+construction.  ``bind_observer`` on a live backend swaps the tracer and
+keeps the registry, so attaching one never resets or forks its counts.
 
 Export with :func:`write_trace` (Chrome/Perfetto trace-event JSON) or
 :meth:`MetricsRegistry.snapshot`; render in-terminal with
@@ -31,9 +36,10 @@ from repro.obs.trace import NULL_SPAN, NULL_TRACER, Span, Tracer
 
 
 class Observer:
-    """One tracer + one metrics registry — the unit the ``observe=``
-    knobs thread through the stack (session → frontend → executor, or
-    cluster → every shard)."""
+    """One tracer + one metrics registry — the unit a backend threads
+    through its stack (session → frontend → executor, or cluster → every
+    shard).  ``enabled`` means the tracer records; the registry is
+    written either way."""
 
     __slots__ = ("tracer", "metrics")
 
@@ -50,23 +56,19 @@ class Observer:
         return self.metrics.snapshot()
 
 
-#: The shared no-op plane behind ``observe=False``.
-NULL_OBSERVER = Observer(tracer=NULL_TRACER)
-
-
 def resolve_observe(observe: Union[bool, Observer]) -> Observer:
-    """Normalize an ``observe=`` knob value: ``False`` → the shared no-op
-    observer, ``True`` → a fresh recording one, an observer → itself."""
+    """Normalize an ``observe=`` knob value: an observer → itself, else a
+    fresh observer (own registry) tracing into a new :class:`Tracer` for
+    ``True`` or :data:`NULL_TRACER` for ``False``."""
     if isinstance(observe, Observer):
         return observe
-    return Observer() if observe else NULL_OBSERVER
+    return Observer(tracer=None if observe else NULL_TRACER)
 
 
 __all__ = [
     "Counter",
     "Gauge",
     "MetricsRegistry",
-    "NULL_OBSERVER",
     "NULL_SPAN",
     "NULL_TRACER",
     "Observer",

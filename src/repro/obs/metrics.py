@@ -11,6 +11,14 @@ Everything lives in a :class:`MetricsRegistry`, snapshot as one plain
 dict (``{"counters": ..., "gauges": ..., "histograms": ...}``) — the
 shape ``tools/validate_bench.py`` registers as the metrics-snapshot
 schema and ``SessionReport.obs`` carries to clients.
+
+**Accounting.**  Each backend's one always-on registry spans its
+lifetime, so it alone holds the backend-lifetime counts: failover and
+scale totals (read back by ``ClusterFrontend.elastic_summary``), hybrid
+column hotness, controller signals.  ``PimSession.report()``'s
+``QueueMetrics``/``ClusterMetrics`` stay exact over the session's own
+records instead: a registry cannot window one session out of a shared
+backend, and its ~4.5%-approximate quantiles would move p50/p99.
 """
 
 from __future__ import annotations
@@ -132,6 +140,11 @@ class MetricsRegistry:
         if gauge is None:
             gauge = self._gauges[name] = Gauge(name)
         return gauge
+
+    def count(self, name: str) -> float:
+        """A counter's value without creating it (0.0 if never counted)."""
+        counter = self._counters.get(name)
+        return counter.value if counter is not None else 0.0
 
     def histogram(self, name: str) -> StreamingHistogram:
         histogram = self._histograms.get(name)

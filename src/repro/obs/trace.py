@@ -199,13 +199,16 @@ class Tracer:
 
         The cluster tier uses this to pull the per-shard part spans (each
         opened as a root by its shard's frontend) under the cluster
-        request's span, so one scatter-gather reads as one tree.
+        request's span, so one scatter-gather reads as one tree.  The
+        scan runs newest-first: the adopted part was almost always the
+        last root opened, so adoption stays O(1) as the forest grows.
         """
         if not self.enabled or span is NULL_SPAN or parent is NULL_SPAN:
             return
-        for index, root in enumerate(self.roots):
-            if root is span:
-                del self.roots[index]
+        roots = self.roots
+        for index in range(len(roots) - 1, -1, -1):
+            if roots[index] is span:
+                del roots[index]
                 break
         span.parent = parent
         parent.children.append(span)

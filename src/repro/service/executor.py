@@ -124,14 +124,15 @@ class BatchExecutor:
             violation raises a typed
             :class:`~repro.verify.errors.VerifyError`.  Off by default;
             intended for tests and benchmark certification runs.
-        observe: Observability plane (``repro.obs``): ``True`` records a
-            span per dispatched batch and per lane placement plus
-            executor counters/histograms; an :class:`~repro.obs.Observer`
-            shares a plane with the frontends.  Off by default — the
-            disabled path allocates no span objects, and recording never
-            changes results, schedules, or charged costs (the spans are
-            stamped from virtual-clock times the schedule already
-            computed).
+        observe: Tracing (``repro.obs``): ``True`` records a span per
+            dispatched batch and per lane placement; an
+            :class:`~repro.obs.Observer` shares its whole plane (tracer
+            and registry) with the frontends.  The executor's counters
+            and histograms are written either way, into the registry it
+            owns from construction.  Off by default — the untraced path
+            allocates no span objects, and tracing never changes results,
+            schedules, or charged costs (the spans are stamped from
+            virtual-clock times the schedule already computed).
     """
 
     def __init__(
@@ -185,16 +186,16 @@ class BatchExecutor:
         #: sets ``"shard<i>/"`` so identical bank keys on different shard
         #: devices stay distinct Perfetto tracks.
         self.obs_prefix = ""
-        self.bind_observer(resolve_observe(observe))
+        self.share_plane(resolve_observe(observe))
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def bind_observer(self, obs: Observer) -> None:
-        """Adopt an observability plane (tracer + metrics registry).
+    def share_plane(self, obs: Observer) -> None:
+        """Record into ``obs`` — tracer *and* metrics registry.
 
         Called at construction from the ``observe=`` knob, and by the
-        frontends when they push a shared plane down the pipeline.
+        frontends when they push their plane down the pipeline.
         Declares one trace track per bank lane plus the host lane and a
         batch-dispatch row, so an exported trace always carries the full
         lane topology — including lanes that never ran work.
@@ -297,11 +298,11 @@ class BatchExecutor:
                 device_busy_ns=device_busy,
                 cross_batch_overlap_ns=overlap,
             )
-            registry = self.obs.metrics
-            registry.counter("executor.batches").inc()
-            registry.counter("executor.requests").inc(float(len(results)))
-            registry.counter("executor.fused_ops").inc(float(context.fused_ops))
-            registry.histogram("executor.batch_makespan_ns").observe(makespan)
+        registry = self.obs.metrics
+        registry.counter("executor.batches").inc()
+        registry.counter("executor.requests").inc(float(len(results)))
+        registry.counter("executor.fused_ops").inc(float(context.fused_ops))
+        registry.histogram("executor.batch_makespan_ns").observe(makespan)
         return BatchResult(results=results, metrics=metrics)
 
     def _verify_sampled(self, batch_index: int, request_index: int) -> bool:

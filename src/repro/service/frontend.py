@@ -71,11 +71,11 @@ import numpy as np
 
 from repro.analysis.metrics import LaneMetrics
 from repro.cache.result_cache import ResultCache, resolve_cache
-from repro.obs import Observer, resolve_observe
+from repro.obs import Observer
 from repro.service.executor import BatchExecutor
 from repro.service.lanes import HOST_LANE
 from repro.service.planner import BatchPlanner, BatchPolicy, LoweredGroup
-from repro.service.requests import BatchResult, FrontendRequest, QueuedRequest
+from repro.service.requests import BatchResult, FrontendRequest, QueuedRequest, invalid_input
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimizer.passes import OptimizerConfig
@@ -198,15 +198,17 @@ class ServiceFrontend:
             ``"lazy"``, ``"hybrid"``) or a configured
             :class:`~repro.storage.MaintenancePolicy`; ``None`` means
             eager.  Ignored when an explicit ``planner`` is passed.
-        observe: Observability plane (``repro.obs``): ``True`` records a
-            span tree per request (admission → queue → service) plus
-            frontend counters/gauges/histograms, and pushes the plane
-            down to the executor (batch + lane spans).  An
-            :class:`~repro.obs.Observer` shares one plane across
-            components; ``False`` (the default) adopts whatever plane the
-            executor already carries — so either end of the pipeline can
-            switch tracing on.  Recording never changes admission,
-            schedules, results, or accounting.
+        observe: Tracing (``repro.obs``): ``True`` records a span tree
+            per request (admission → queue → service) and pushes the
+            tracer down to the executor (batch + lane spans).  An
+            :class:`~repro.obs.Observer` shares its whole plane (tracer
+            and registry) across components; ``False`` (the default)
+            adopts whatever tracer the executor already carries — so
+            either end of the pipeline can switch tracing on.  Frontend
+            counters/gauges/histograms are written either way, into the
+            executor's registry (this backend's one ledger), and
+            planner hotness rides it too.  Tracing never changes
+            admission, schedules, results, or accounting.
     """
 
     def __init__(
@@ -246,33 +248,39 @@ class ServiceFrontend:
         self.records: List[QueuedRequest] = []
         self.batches: List[BatchResult] = []
         self.busy_ns = 0.0
-        #: Queued requests evicted by priority-class load shedding.
-        self.shed_requests = 0
         self._heap: List = []
         self._seq = 0
         self._backlog_ns = 0.0
         self._bank_backlog: Dict = {key: 0.0 for key in self.executor.active_bank_keys()}
-        if observe is False:
-            # Adopt the executor's plane, so `BatchExecutor(observe=True)`
-            # alone traces the full pipeline (and the default stays the
-            # shared no-op observer).
-            self.obs = self.executor.obs
-        else:
-            self.bind_observer(resolve_observe(observe))
+        # The executor's plane is this backend's, so `BatchExecutor(
+        # observe=True)` alone traces the full pipeline.
+        self.share_plane(observe if isinstance(observe, Observer) else self.executor.obs)
+        if observe is True:
+            self.bind_observer(Observer())
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def bind_observer(self, obs: Observer) -> None:
-        """Adopt an observability plane and push it to the executor."""
-        self.obs = obs
-        self.executor.bind_observer(obs)
-        # The maintenance policy's hotness counters ride the same plane
-        # (``storage.reads.<column>``) so hybrid strategy decisions are
-        # inspectable wherever the frontend's metrics land.
-        self.planner.maintenance.bind_observer(obs)
+    @property
+    def shed_requests(self) -> int:
+        """Queued requests evicted by priority-class load shedding over
+        the registry's lifetime (the ``frontend.rejected.shed`` count)."""
+        return int(self.obs.metrics.count("frontend.rejected.shed"))
 
-    def _obs_offered(self, queued: QueuedRequest) -> None:
+    def bind_observer(self, obs: Observer) -> None:
+        """Trace into ``obs``'s tracer; the registry stays this
+        backend's, so attaching a tracer never resets its counts."""
+        self.share_plane(Observer(tracer=obs.tracer, metrics=self.obs.metrics))
+
+    def share_plane(self, obs: Observer) -> None:
+        """Record into ``obs`` — tracer *and* registry — and push it to
+        the executor and the maintenance policy, whose hotness counters
+        (``storage.reads.<column>``) ride the same registry."""
+        self.obs = obs
+        self.executor.share_plane(obs)
+        self.planner.maintenance.metrics = obs.metrics
+
+    def _trace_offered(self, queued: QueuedRequest) -> None:
         """Open the request's root span at arrival."""
         span = self.obs.tracer.span("request", category="request", start_ns=queued.arrival_ns)
         span.set(
@@ -286,43 +294,57 @@ class ServiceFrontend:
                 deadline_slack_ns=queued.deadline_ns - queued.arrival_ns,
             )
         queued.trace = span
-        self.obs.metrics.counter("frontend.offered").inc()
 
     def _obs_admitted(self, queued: QueuedRequest) -> None:
         """Record the admission decision and refresh the queue gauges."""
-        queued.trace.child(
-            "admission",
-            category="request",
-            start_ns=queued.arrival_ns,
-            end_ns=queued.arrival_ns,
-        ).set(
-            admitted=True,
-            modeled_ns=queued.modeled_ns,
-            modeled_banks=len(queued.modeled_banks),
-        )
         registry = self.obs.metrics
         registry.counter("frontend.admitted").inc()
         registry.gauge("frontend.queue_depth").set(float(len(self._heap)))
         registry.gauge("frontend.backlog_ns").set(self.backlog_ns)
+        if queued.trace is not None:
+            queued.trace.child(
+                "admission",
+                category="request",
+                start_ns=queued.arrival_ns,
+                end_ns=queued.arrival_ns,
+            ).set(
+                admitted=True,
+                modeled_ns=queued.modeled_ns,
+                modeled_banks=len(queued.modeled_banks),
+            )
 
-    def _obs_rejected(self, queued: QueuedRequest) -> None:
-        """Close the root span of a request refused at the door."""
-        queued.trace.child(
-            "admission",
-            category="request",
-            start_ns=queued.arrival_ns,
-            end_ns=queued.arrival_ns,
-        ).set(admitted=False, reason=queued.rejected_reason)
-        queued.trace.end(queued.arrival_ns).set(
-            status="rejected", reason=queued.rejected_reason
-        )
-        registry = self.obs.metrics
-        registry.counter("frontend.rejected").inc()
-        registry.counter(f"frontend.rejected.{queued.rejected_reason}").inc()
+    def _reject(self, queued: QueuedRequest, reason: str) -> QueuedRequest:
+        """Refuse a request at the door: count it, close its root span."""
+        self._mark_rejected(queued, reason)
+        if queued.trace is not None:
+            queued.trace.child(
+                "admission",
+                category="request",
+                start_ns=queued.arrival_ns,
+                end_ns=queued.arrival_ns,
+            ).set(admitted=False, reason=reason)
+            queued.trace.end(queued.arrival_ns).set(status="rejected", reason=reason)
+        return queued
+
+    def _mark_rejected(self, queued: QueuedRequest, reason: str) -> None:
+        """Mark an envelope rejected with ``reason`` and count it."""
+        queued.admitted = False
+        queued.rejected_reason = reason
+        self.obs.metrics.counter("frontend.rejected").inc()
+        self.obs.metrics.counter(f"frontend.rejected.{reason}").inc()
 
     def _obs_served(self, queued: QueuedRequest, batch_index: int) -> None:
-        """Attach queue/service children and close the root at finish."""
+        """Count the completion; when tracing, attach queue/service
+        children and close the root at finish."""
+        registry = self.obs.metrics
+        registry.counter("frontend.completed").inc()
+        if queued.deadline_missed:
+            registry.counter("frontend.deadline_misses").inc()
+        registry.histogram("frontend.wait_ns").observe(queued.wait_ns)
+        registry.histogram("frontend.sojourn_ns").observe(queued.sojourn_ns)
         span = queued.trace
+        if span is None:
+            return
         span.child(
             "queue",
             category="request",
@@ -345,12 +367,6 @@ class ServiceFrontend:
         span.end(queued.finish_ns).set(
             status="completed", deadline_missed=queued.deadline_missed
         )
-        registry = self.obs.metrics
-        registry.counter("frontend.completed").inc()
-        if queued.deadline_missed:
-            registry.counter("frontend.deadline_misses").inc()
-        registry.histogram("frontend.wait_ns").observe(queued.wait_ns)
-        registry.histogram("frontend.sojourn_ns").observe(queued.sojourn_ns)
 
     def _obs_maintenance(self, queued: QueuedRequest, group: LoweredGroup) -> None:
         """Attach a ``maintenance`` child span for index-maintenance work.
@@ -493,19 +509,11 @@ class ServiceFrontend:
         self._charge(queued, -1.0)
         if not self._heap:
             self._reset_backlog()
-        queued.admitted = False
-        queued.rejected_reason = reason
-        if self.obs.enabled:
-            if queued.trace is not None:
-                # The span ends when the request leaves the system — at
-                # the shed/cancel instant, not its arrival.
-                queued.trace.end(self.clock_ns).set(status="rejected", reason=reason)
-            self.obs.metrics.counter("frontend.rejected").inc()
-            self.obs.metrics.counter(f"frontend.rejected.{reason}").inc()
-
-    def _evict(self, victim: QueuedRequest, reason: str) -> None:
-        self._remove_queued(victim, reason)
-        self.shed_requests += 1
+        self._mark_rejected(queued, reason)
+        if queued.trace is not None:
+            # The span ends when the request leaves the system — at the
+            # shed/cancel instant, not its arrival.
+            queued.trace.end(self.clock_ns).set(status="rejected", reason=reason)
 
     def cancel(self, queued: QueuedRequest, reason: str = "cancelled") -> bool:
         """Withdraw a queued, not-yet-served request; True when removed.
@@ -568,10 +576,11 @@ class ServiceFrontend:
 
         Admission control runs at the request's arrival time against the
         current queue; a rejected envelope has ``admitted=False`` and a
-        ``rejected_reason`` and will never be served.
+        ``rejected_reason`` and will never be served.  Malformed input
+        (see :func:`~repro.service.requests.invalid_input`) is rejected
+        as ``"invalid"`` before the clock moves.
         """
         arrival = self.clock_ns if arrival_ns is None else float(arrival_ns)
-        self.clock_ns = max(self.clock_ns, arrival)
         queued = QueuedRequest(
             request=request,
             arrival_ns=arrival,
@@ -581,9 +590,12 @@ class ServiceFrontend:
         )
         self._seq += 1
         self.records.append(queued)
-        observe = self.obs.enabled
-        if observe:
-            self._obs_offered(queued)
+        self.obs.metrics.counter("frontend.offered").inc()
+        if invalid_input(request, arrival, deadline_ns):
+            return self._reject(queued, "invalid")
+        self.clock_ns = max(self.clock_ns, arrival)
+        if self.obs.enabled:
+            self._trace_offered(queued)
 
         # Depth check first: a queue-full rejection must not pay for the
         # latency model (for scans that is a full host-side evaluation).
@@ -598,35 +610,22 @@ class ServiceFrontend:
                 if sheddable:
                     victims.append(sheddable[0])
             if not victims:
-                queued.admitted = False
-                queued.rejected_reason = "queue_full"
-                if observe:
-                    self._obs_rejected(queued)
-                return queued
+                return self._reject(queued, "queue_full")
         queued.modeled_ns = self.planner.modeled_latency_ns(request)
         queued.modeled_banks = self.planner.modeled_banks(request)
         if self.max_backlog_ns is not None:
             if self.shed_low_priority:
                 extra = self._plan_occupancy_shed(queued, pre_evicted=victims)
                 if extra is None:
-                    queued.admitted = False
-                    queued.rejected_reason = "bank_occupancy"
-                    if observe:
-                        self._obs_rejected(queued)
-                    return queued
+                    return self._reject(queued, "bank_occupancy")
                 victims.extend(extra)
             elif self._occupancy_with(self._bank_backlog, queued) > self.max_backlog_ns:
-                queued.admitted = False
-                queued.rejected_reason = "bank_occupancy"
-                if observe:
-                    self._obs_rejected(queued)
-                return queued
+                return self._reject(queued, "bank_occupancy")
         for victim in victims:
-            self._evict(victim, "shed")
+            self._remove_queued(victim, "shed")
         heapq.heappush(self._heap, (queued.sort_key(), queued))
         self._charge(queued, 1.0)
-        if observe:
-            self._obs_admitted(queued)
+        self._obs_admitted(queued)
         return queued
 
     # ------------------------------------------------------------------
@@ -690,8 +689,7 @@ class ServiceFrontend:
         primitives, groups = self.planner.lower_batch(closed)
         batch_start = self.clock_ns
         batch_index = len(self.batches)
-        observe = self.obs.enabled
-        if observe:
+        if self.obs.enabled:
             # Instant marker on the batch row: what planning/optimization
             # did to this batch before it hit the lanes.
             self.obs.tracer.span(
@@ -747,26 +745,23 @@ class ServiceFrontend:
             queued.cache_hits = group.cache_hits
             queued.cache_misses = group.cache_misses
             queued.cache_invalidations = group.cache_invalidations
-            if observe and queued.trace is not None:
-                self._obs_served(queued, batch_index)
+            self._obs_served(queued, batch_index)
+            if queued.trace is not None:
                 self._obs_maintenance(queued, group)
         batch.metrics.ops_eliminated = sum(g.ops_eliminated for g in groups)
         batch.metrics.shared_subchains = sum(g.shared_subchains for g in groups)
         batch.metrics.cache_hits = sum(g.cache_hits for g in groups)
         batch.metrics.cache_misses = sum(g.cache_misses for g in groups)
         batch.metrics.cache_invalidations = sum(g.cache_invalidations for g in groups)
-        if observe:
-            registry = self.obs.metrics
-            registry.gauge("frontend.queue_depth").set(float(len(self._heap)))
-            registry.gauge("frontend.backlog_ns").set(self.backlog_ns)
-            if batch.metrics.cache_hits:
-                registry.counter("cache.hit").inc(batch.metrics.cache_hits)
-            if batch.metrics.cache_misses:
-                registry.counter("cache.miss").inc(batch.metrics.cache_misses)
-            if batch.metrics.cache_invalidations:
-                registry.counter("cache.invalidations").inc(
-                    batch.metrics.cache_invalidations
-                )
+        registry = self.obs.metrics
+        registry.gauge("frontend.queue_depth").set(float(len(self._heap)))
+        registry.gauge("frontend.backlog_ns").set(self.backlog_ns)
+        if batch.metrics.cache_hits:
+            registry.counter("cache.hit").inc(batch.metrics.cache_hits)
+        if batch.metrics.cache_misses:
+            registry.counter("cache.miss").inc(batch.metrics.cache_misses)
+        if batch.metrics.cache_invalidations:
+            registry.counter("cache.invalidations").inc(batch.metrics.cache_invalidations)
         if not pipelined:
             self.clock_ns = batch_start + batch.metrics.latency_ns
         self.busy_ns += batch.metrics.busy_ns

@@ -149,6 +149,23 @@ class BitmapConjunctionRequest:
 FrontendRequest = Union[ServiceRequest, BitmapConjunctionRequest]
 
 
+def invalid_input(
+    request: Any, arrival_ns: float, deadline_ns: Optional[float]
+) -> bool:
+    """True when an offer is malformed on its face: a non-finite arrival
+    or deadline, or a scan constant that does not fit its column's code
+    width.  Frontends reject such offers as ``"invalid"`` before their
+    clocks move, so one bad request never poisons a stream."""
+    if not math.isfinite(arrival_ns):
+        return True
+    if deadline_ns is not None and not math.isfinite(deadline_ns):
+        return True
+    if isinstance(request, ScanRequest):
+        limit = 1 << request.column.num_bits
+        return not all(0 <= constant < limit for constant in request.constants)
+    return False
+
+
 @dataclass
 class QueuedRequest:
     """Envelope of one request inside the frontend's admission queue.

@@ -15,22 +15,23 @@ keeps the bitmap planes consistent with the table:
   rebuild (one bulk op per plane + the column scan traffic) into the
   reading request's batch.
 * **hybrid** — eager for hot columns, lazy for cold.  Hotness is read
-  from the ``repro.obs`` metrics registry (``storage.reads.<column>``
-  counters the planner bumps on every lowered predicate); when the
-  frontend runs without a recording plane the policy keeps a private
-  registry so hybrid works under ``observe=False`` too.
+  from the owning backend's always-on ``repro.obs`` metrics registry
+  (``storage.reads.<column>`` counters the planner bumps on every
+  lowered predicate), which the frontend — or, for a cluster, the one
+  cluster registry — shares into :attr:`MaintenancePolicy.metrics`.
+  Tracing on or off, the counts are the same.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.ambit.bitvector import BulkBitVector
 from repro.database.bitmap_index import BitmapIndex
-from repro.obs import MetricsRegistry, Observer
+from repro.obs import MetricsRegistry
 from repro.storage.requests import (
     UpdateRequest,
     WriteRequest,
@@ -116,27 +117,28 @@ class MaintenancePolicy:
             raise ValueError(f"strategy must be one of {STRATEGIES}, not {strategy!r}")
         self.strategy = strategy
         self.hot_threshold = hot_threshold
-        # Hotness store: a private registry unless a recording plane is
-        # bound — then hotness is just more metrics on the shared plane.
-        self._metrics = MetricsRegistry()
+        #: Hotness store: the registry of the backend that owns this
+        #: policy, shared in when a frontend or cluster adopts it.
+        self.metrics: Optional[MetricsRegistry] = None
 
     # ------------------------------------------------------------------
     # Hotness (the repro.obs consumption surface)
     # ------------------------------------------------------------------
-    def bind_observer(self, obs: Observer) -> None:
-        """Adopt the frontend's recording plane as the hotness store."""
-        if obs.enabled:
-            self._metrics = obs.metrics
+    def _registry(self) -> MetricsRegistry:
+        if self.metrics is None:
+            raise RuntimeError("policy has no metrics registry: attach it to a backend first")
+        return self.metrics
 
     def note_read(self, columns: Iterable[str]) -> None:
         """Record one read of each column (planner calls this per lowered
         predicate); drives the hybrid strategy's hot/cold split."""
+        registry = self._registry()
         for column in columns:
-            self._metrics.counter(f"storage.reads.{column}").inc()
+            registry.counter(f"storage.reads.{column}").inc()
 
     def reads_of(self, column: str) -> float:
         """Recorded read count of one column."""
-        return self._metrics.counter(f"storage.reads.{column}").value
+        return self._registry().count(f"storage.reads.{column}")
 
     def is_hot(self, column: str) -> bool:
         """Hybrid hot/cold test against ``hot_threshold``."""

@@ -11,6 +11,9 @@ cost, and the behaviours of the retired ``QueryEngine`` query entry
 points, pinned on the session that replaced them.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -318,6 +321,88 @@ class TestFutureSemantics:
         outcome = RetryClient(session).run(events)
         assert outcome.delivered > 0
         assert outcome.result.completed == outcome.delivered
+
+
+def _tier_session(tier: str) -> PimSession:
+    if tier == "cluster":
+        return _cluster_session(2, router=ShardRouter(2, replication_factor=2))
+    return _service_session(policy=BatchPolicy(max_batch=2))
+
+
+class TestInvalidInput:
+    """Malformed offers fail alone, typed ``"invalid"``, moving no clock."""
+
+    @staticmethod
+    def _assert_invalid(future):
+        assert future.status == "rejected"
+        with pytest.raises(RequestRejected) as excinfo:
+            future.result()
+        assert excinfo.value.reason == "invalid"
+
+    @staticmethod
+    def _invalid_count(session) -> float:
+        prefix = "cluster" if session.tier == "cluster" else "frontend"
+        return session.backend.obs.metrics.count(f"{prefix}.rejected.invalid")
+
+    @pytest.mark.parametrize("tier", ["service", "cluster"])
+    def test_nan_arrival_is_rejected_and_percentiles_stay_finite(self, tier):
+        rng = np.random.default_rng(81)
+        session = _tier_session(tier)
+        requests = [
+            ScanRequest(column=_random_column(rng), kind="less_than", constants=(9,))
+            for _ in range(6)
+        ]
+        events = list(poisson_schedule(requests, rate_per_s=1e6, seed=81))
+        events[2] = dataclasses.replace(events[2], arrival_ns=math.nan)
+        futures = session.submit_stream(events)
+        session.drain()
+        self._assert_invalid(futures[2])
+        assert all(f.status == "completed" for i, f in enumerate(futures) if i != 2)
+        report = session.report()
+        assert report.details.rejected == 1
+        assert math.isfinite(report.details.sojourn_p50_ns)
+        assert math.isfinite(report.details.sojourn_p99_ns)
+        assert self._invalid_count(session) == 1.0
+
+    @pytest.mark.parametrize("tier", ["service", "cluster"])
+    def test_inf_arrival_leaves_the_clock_finite(self, tier):
+        rng = np.random.default_rng(82)
+        session = _tier_session(tier)
+        column = _random_column(rng)
+        doomed = session.submit(
+            ScanRequest(column=column, kind="less_than", constants=(9,)), at_ns=math.inf
+        )
+        self._assert_invalid(doomed)
+        assert math.isfinite(session.clock_ns)
+        later = session.submit(
+            ScanRequest(column=column, kind="less_than", constants=(5,)), at_ns=100.0
+        )
+        assert later.result().status == "completed"
+        assert math.isfinite(later.record.finish_ns)
+        assert later.record.finish_ns >= 100.0
+        # A non-finite deadline is refused the same way.
+        self._assert_invalid(
+            session.submit(
+                ScanRequest(column=column, kind="less_than", constants=(5,)),
+                deadline_ns=math.nan,
+            )
+        )
+
+    @pytest.mark.parametrize("tier", ["service", "cluster"])
+    def test_out_of_range_constant_fails_only_its_request(self, tier):
+        rng = np.random.default_rng(83)
+        session = _tier_session(tier)
+        column = _random_column(rng, num_bits=8)
+        requests = [
+            ScanRequest(column=column, kind="less_than", constants=(c,))
+            for c in (3, 999, 40)
+        ]
+        futures = session.submit_stream(poisson_schedule(requests, rate_per_s=1e6, seed=83))
+        self._assert_invalid(futures[1])
+        for future in (futures[0], futures[2]):
+            expected, _ = column.scan("less_than", *future.request.constants)
+            assert np.array_equal(future.result().value, expected)
+        assert self._invalid_count(session) == 1.0
 
 
 class TestPlanIR:

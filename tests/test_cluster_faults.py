@@ -37,6 +37,7 @@ from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
+from repro.obs import Span
 from repro.service import (
     BatchPolicy,
     BitmapConjunctionRequest,
@@ -554,6 +555,46 @@ class TestElasticController:
         assert len(cluster.router.routable_shards()) == 2  # floor respected
         assert cluster.elastic_summary()["shards_retired"] == 1
 
+    def test_untraced_controller_allocates_no_spans_and_decides_identically(self):
+        """The controller reads the always-on registry: attaching it to an
+        untraced cluster turns no tracing on and changes no decision."""
+
+        def run(observe):
+            rng = np.random.default_rng(33)
+            index = _bitmap_index(rng)
+            columns = [BitWeavingColumn(rng.integers(0, 64, size=400), 6) for _ in range(2)]
+            cluster = _cluster(
+                2, router=ShardRouter(2, replication_factor=1), observe=observe
+            )
+            controller = ElasticController(
+                cluster,
+                ControllerPolicy(
+                    interval_ns=1_000.0,
+                    imbalance_threshold=1.2,
+                    overload_backlog_ns=100.0,
+                    overload_windows=2,
+                    max_shards=3,
+                ),
+            )
+            requests = [
+                BitmapConjunctionRequest(index=index, predicates=(("region", (1, 2)),))
+                if i % 2
+                else ScanRequest(column=columns[i // 2 % 2], kind="less_than", constants=(9,))
+                for i in range(40)
+            ]
+            before = Span.allocated
+            session = PimSession(cluster)
+            session.submit_stream(poisson_schedule(requests, rate_per_s=20e6, seed=33))
+            session.drain()
+            return controller.events, Span.allocated - before, cluster
+
+        plain_events, plain_spans, plain_cluster = run(False)
+        traced_events, traced_spans, _ = run(True)
+        assert plain_spans == 0 and traced_spans > 0
+        assert not plain_cluster.obs.enabled
+        assert {e.action for e in plain_events} >= {"replicate", "join"}
+        assert plain_events == traced_events
+
     def test_missed_ticks_collapse(self):
         cluster = _cluster(2, router=ShardRouter(2, replication_factor=1))
         controller = ElasticController(
@@ -635,9 +676,10 @@ class TestFailoverLintAndAudit:
             router.route("orphan", lambda shard: 0.0)
         assert excinfo.value.key == "orphan"
 
-    def test_counters_match_cluster_metrics(self, serve):
+    @pytest.mark.parametrize("observe", [False, True])
+    def test_counters_match_cluster_metrics(self, serve, observe):
         """The cluster.failover.* / cluster.scale.* counter taxonomy and
-        the ClusterMetrics roll-up tell one story."""
+        the ClusterMetrics roll-up tell one story, traced or not."""
         rng = np.random.default_rng(51)
         index = _bitmap_index(rng)
         requests = _conjunctions(rng, index, count=20)
@@ -646,7 +688,7 @@ class TestFailoverLintAndAudit:
             3,
             router=ShardRouter(3, replication_factor=2),
             faults=plan,
-            observe=True,
+            observe=observe,
         )
         metrics = serve(cluster, poisson_schedule(requests, rate_per_s=8e6, seed=51))[0].details
         counters = cluster.obs.snapshot()["counters"]

@@ -42,8 +42,8 @@ from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
 from repro.obs import (
-    NULL_OBSERVER,
     NULL_SPAN,
+    NULL_TRACER,
     MetricsRegistry,
     Observer,
     Span,
@@ -214,7 +214,8 @@ class TestDisabledPath:
         before = Span.allocated
         frontend, metrics, _ = _run_service(observe=False)
         assert Span.allocated - before == 0
-        assert frontend.obs is NULL_OBSERVER
+        assert frontend.obs.tracer is NULL_TRACER
+        assert not frontend.obs.enabled
         assert metrics.completed > 0  # the run itself was real
 
     def test_null_tracer_hands_out_the_null_span(self):
@@ -226,9 +227,10 @@ class TestDisabledPath:
         assert tracer.roots == []
 
     def test_resolve_observe(self):
-        assert resolve_observe(False) is NULL_OBSERVER
+        untraced = resolve_observe(False)
+        assert untraced.tracer is NULL_TRACER and not untraced.enabled
         fresh = resolve_observe(True)
-        assert fresh.enabled and fresh is not NULL_OBSERVER
+        assert fresh.enabled and fresh.tracer is not NULL_TRACER
         shared = Observer()
         assert resolve_observe(shared) is shared
 
@@ -242,11 +244,21 @@ class TestBitExactness:
         # Rejected records carry NaN timestamps; NaN == NaN is False.
         return a == b or (math.isnan(a) and math.isnan(b))
 
+    @staticmethod
+    def _same_ledger(plain_backend, traced_backend):
+        """Counters and gauges are written with tracing off, too."""
+        plain = plain_backend.obs.snapshot()
+        traced = traced_backend.obs.snapshot()
+        assert plain["counters"] and plain["gauges"]
+        assert plain["counters"] == traced["counters"]
+        assert plain["gauges"] == traced["gauges"]
+
     def _assert_runs_identical(self, plain, traced):
         """``plain``/``traced`` are (frontend, metrics, records) runs."""
-        _, plain_metrics, plain_records = plain
-        _, traced_metrics, traced_records = traced
+        plain_frontend, plain_metrics, plain_records = plain
+        traced_frontend, traced_metrics, traced_records = traced
         assert plain_metrics == traced_metrics
+        self._same_ledger(plain_frontend, traced_frontend)
         assert len(plain_records) == len(traced_records)
         for a, b in zip(plain_records, traced_records):
             assert a.arrival_ns == b.arrival_ns
@@ -288,9 +300,10 @@ class TestBitExactness:
             )
             return (cluster, *_serve(cluster, events, name="cluster"))
 
-        _, plain_metrics, plain_records = run(False)
+        plain_cluster, plain_metrics, plain_records = run(False)
         traced_cluster, traced_metrics, traced_records = run(True)
         assert plain_metrics == traced_metrics
+        self._same_ledger(plain_cluster, traced_cluster)
         for a, b in zip(plain_records, traced_records):
             assert a.arrival_ns == b.arrival_ns
             assert self._same_ns(a.finish_ns, b.finish_ns)

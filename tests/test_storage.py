@@ -20,6 +20,8 @@ from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
+from repro.api import PimSession
+from repro.obs import MetricsRegistry
 from repro.service import (
     BatchExecutor,
     BatchPolicy,
@@ -148,6 +150,9 @@ class TestMaintenancePolicy:
 
     def test_hybrid_hot_cold_split_follows_reads(self):
         policy = MaintenancePolicy("hybrid", hot_threshold=2)
+        # A standalone policy counts into whatever registry it is given
+        # (a frontend or cluster shares its own in).
+        policy.metrics = MetricsRegistry()
         assert policy.column_strategy("region") == "lazy"  # cold until read
         policy.note_read(["region"])
         policy.note_read(["region"])
@@ -279,6 +284,52 @@ class TestWriteCosts:
         append_record, delete_record = [r for r in frontend.records if r.completed]
         assert append_record.value == 2
         assert delete_record.value == 3
+
+
+class TestHotnessSurvivesTracing:
+    """Attaching a tracer to a warm hybrid backend changes no decision."""
+
+    @staticmethod
+    def _warm_then_write(traced: bool):
+        rng = np.random.default_rng(71)
+        table, index = _table_index(rng)
+        frontend = _frontend(MaintenancePolicy("hybrid", hot_threshold=3))
+        policy = frontend.planner.maintenance
+        outcomes = []
+        lower_write = policy.lower_write
+        policy.lower_write = lambda request, executor: (
+            outcomes.append(lower_write(request, executor)) or outcomes[-1]
+        )
+        warm = PimSession(frontend)
+        for _ in range(5):
+            warm.submit(
+                BitmapConjunctionRequest(index=index, predicates=(("region", (1, 2)),))
+            )
+        warm.drain()
+        assert policy.reads_of("region") == 5.0  # hot, untraced
+        session = PimSession(frontend, observe=traced)
+        future = session.submit(
+            UpdateRequest(
+                table=table, index=index, column="region",
+                row_ids=[0, 1, 2], values=[3, 4, 5],
+            )
+        )
+        response = future.result()
+        (outcome,) = outcomes
+        fingerprint = (
+            response.value,
+            response.start_ns,
+            response.finish_ns,
+            response.latency_ns,
+            response.energy_j,
+        )
+        return outcome.strategies, outcome.planes_charged, fingerprint, policy.reads_of("region")
+
+    def test_traced_session_over_warm_hybrid_backend_writes_identically(self):
+        plain = self._warm_then_write(traced=False)
+        traced = self._warm_then_write(traced=True)
+        assert plain[0] == {"region": "eager"}
+        assert traced == plain
 
 
 class TestWritePlanLint:
