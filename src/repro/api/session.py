@@ -12,11 +12,15 @@ baseline — and :meth:`PimSession.report` is the one stream summary::
     print(response.matching_rows, response.latency_ns, response.details)
     print(session.report())         # unified SessionReport, any tier
 
-* **Declarative constructors** (:meth:`~PimSession.scan`,
-  :meth:`~PimSession.conjunction`, :meth:`~PimSession.range_count`)
-  build :mod:`repro.api.plans` specs, lower them once through the shared
-  plan IR, and submit them to the backend at the session's virtual
-  clock.
+* **Constructors** (:meth:`~PimSession.scan`,
+  :meth:`~PimSession.conjunction`, :meth:`~PimSession.range_count`, and
+  the writes :meth:`~PimSession.append` / :meth:`~PimSession.update` /
+  :meth:`~PimSession.delete`) build the request the backends queue —
+  :class:`~repro.service.requests.ScanRequest`,
+  :class:`~repro.service.requests.BitmapConjunctionRequest`, or a
+  :mod:`repro.storage.requests` write — and submit it at the session's
+  virtual clock; :meth:`~PimSession.submit` takes such a request as is.
+  The session adds only timing and futures.
 * **Futures** wrap the backend's envelope: ``done()``, ``status``,
   ``result()`` (which virtually blocks — it drains the backend), and the
   per-request timing surface.
@@ -47,22 +51,18 @@ from repro.analysis.metrics import (
     summarize_queue_records,
 )
 from repro.api.backends import Backend, HostBackend
-from repro.api.plans import (
-    AppendSpec,
-    ConjunctionSpec,
-    DeleteSpec,
-    QuerySpec,
-    ScanSpec,
-    UpdateSpec,
-    WriteSpec,
-    range_count_spec,
-    spec_for_request,
-)
 from repro.cluster.frontend import FAILURE_REASONS
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.queries import QueryEngine
 from repro.obs import Observer, resolve_observe
 from repro.service.frontend import ArrivalEvent
+from repro.service.requests import BitmapConjunctionRequest, ScanRequest
+from repro.storage.requests import (
+    AppendRequest,
+    DeleteRequest,
+    UpdateRequest,
+    is_write_request,
+)
 
 
 class RequestRejected(RuntimeError):
@@ -205,8 +205,7 @@ class Future:
     and then materializes the unified :class:`Response`.
 
     Attributes:
-        spec: The declarative spec (None for raw primitive submissions).
-        request: The lowered request the backend queued.
+        request: The request the backend queued.
         record: The backend's envelope (tier-specific; the protocol
             surface — ``admitted``, ``completed``, ``value``,
             ``metrics``, timing — is what the session reads).
@@ -215,13 +214,11 @@ class Future:
     def __init__(
         self,
         session: "PimSession",
-        spec: Optional[QuerySpec],
         request: Any,
         record: Any,
         kind: str,
     ) -> None:
         self._session = session
-        self.spec = spec
         self.request = request
         self.record = record
         self.kind = kind
@@ -469,7 +466,7 @@ class PimSession:
         return cls(HostBackend(coster=coster), coster=coster, name=name)
 
     # ------------------------------------------------------------------
-    # Declarative constructors
+    # Request constructors
     # ------------------------------------------------------------------
     def scan(
         self,
@@ -481,8 +478,8 @@ class PimSession:
         at_ns: Optional[float] = None,
     ) -> Future:
         """Submit one BitWeaving predicate scan; returns its future."""
-        spec = ScanSpec(column=column, kind=kind, constants=tuple(constants))
-        return self._submit_spec(spec, "scan", priority, deadline_ns, at_ns)
+        request = ScanRequest(column=column, kind=kind, constants=tuple(constants))
+        return self._submit(request, "scan", priority, deadline_ns, at_ns)
 
     def range_count(
         self,
@@ -494,8 +491,8 @@ class PimSession:
         at_ns: Optional[float] = None,
     ) -> Future:
         """Submit ``SELECT COUNT(*) WHERE low <= col <= high``."""
-        spec = range_count_spec(column, low, high)
-        return self._submit_spec(spec, "range_count", priority, deadline_ns, at_ns)
+        request = ScanRequest(column=column, kind="between", constants=(low, high))
+        return self._submit(request, "range_count", priority, deadline_ns, at_ns)
 
     def conjunction(
         self,
@@ -506,11 +503,8 @@ class PimSession:
         at_ns: Optional[float] = None,
     ) -> Future:
         """Submit a bitmap-index conjunction of per-column ``IN`` predicates."""
-        spec = ConjunctionSpec(
-            index=index,
-            predicates=tuple((column, tuple(values)) for column, values in predicates),
-        )
-        return self._submit_spec(spec, "conjunction", priority, deadline_ns, at_ns)
+        request = BitmapConjunctionRequest(index=index, predicates=tuple(predicates))
+        return self._submit(request, "conjunction", priority, deadline_ns, at_ns)
 
     def append(
         self,
@@ -522,8 +516,8 @@ class PimSession:
         at_ns: Optional[float] = None,
     ) -> Future:
         """Submit a row append; the response value is rows appended."""
-        spec = AppendSpec(table=table, index=index, rows=rows)
-        return self._submit_spec(spec, "append", priority, deadline_ns, at_ns)
+        request = AppendRequest(table=table, index=index, rows=rows)
+        return self._submit(request, "append", priority, deadline_ns, at_ns)
 
     def update(
         self,
@@ -538,14 +532,14 @@ class PimSession:
     ) -> Future:
         """Submit ``column[row_ids] = values``; the response value is rows
         overwritten.  Row ids must be unique within one update."""
-        spec = UpdateSpec(
+        request = UpdateRequest(
             table=table,
             index=index,
             column=column,
             row_ids=tuple(row_ids),
             values=tuple(values),
         )
-        return self._submit_spec(spec, "update", priority, deadline_ns, at_ns)
+        return self._submit(request, "update", priority, deadline_ns, at_ns)
 
     def delete(
         self,
@@ -558,8 +552,8 @@ class PimSession:
     ) -> Future:
         """Submit a physical row deletion; the response value is rows
         removed (rows after them renumber down)."""
-        spec = DeleteSpec(table=table, index=index, row_ids=tuple(row_ids))
-        return self._submit_spec(spec, "delete", priority, deadline_ns, at_ns)
+        request = DeleteRequest(table=table, index=index, row_ids=tuple(row_ids))
+        return self._submit(request, "delete", priority, deadline_ns, at_ns)
 
     def submit(
         self,
@@ -568,34 +562,23 @@ class PimSession:
         deadline_ns: Optional[float] = None,
         at_ns: Optional[float] = None,
     ) -> Future:
-        """Submit a plan-IR spec or an already-lowered frontend request.
+        """Submit a request as is (the shape arrival schedulers produce).
 
-        Specs lower through :mod:`repro.api.plans`; raw requests (the
-        shape arrival schedulers produce) pass through untouched so their
-        cached evaluations are preserved.
+        The request passes through untouched, so its cached evaluations
+        are preserved.  The response kind follows its type: ``"scan"``,
+        ``"conjunction"``, the write's own kind, or ``"request"`` for
+        anything else.  A type no backend serves is rejected as
+        ``"invalid"``.
         """
-        if isinstance(work, (ScanSpec, ConjunctionSpec, AppendSpec, UpdateSpec, DeleteSpec)):
-            return self._submit_spec(
-                work, self._kind_of_spec(work), priority, deadline_ns, at_ns
-            )
-        try:
-            spec = spec_for_request(work)
-            kind = self._kind_of_spec(spec)
-        except TypeError:
-            spec, kind = None, "request"
-        return self._submit(spec, work, kind, priority, deadline_ns, at_ns)
-
-    @staticmethod
-    def _kind_of_spec(spec: Union[QuerySpec, WriteSpec]) -> str:
-        if isinstance(spec, ConjunctionSpec):
-            return "conjunction"
-        if isinstance(spec, ScanSpec):
-            return "scan"
-        if isinstance(spec, AppendSpec):
-            return "append"
-        if isinstance(spec, UpdateSpec):
-            return "update"
-        return "delete"
+        if isinstance(work, ScanRequest):
+            kind = "scan"
+        elif isinstance(work, BitmapConjunctionRequest):
+            kind = "conjunction"
+        elif is_write_request(work):
+            kind = work.kind
+        else:
+            kind = "request"
+        return self._submit(work, kind, priority, deadline_ns, at_ns)
 
     def submit_stream(self, events: Iterable[ArrivalEvent]) -> List[Future]:
         """Submit a whole arrival stream; futures come back in event order.
@@ -608,10 +591,7 @@ class PimSession:
         """
         events = list(events)
         futures: List[Optional[Future]] = [None] * len(events)
-        order = sorted(
-            range(len(events)),
-            key=lambda i: (not math.isfinite(events[i].arrival_ns), events[i].arrival_ns),
-        )
+        order = sorted(range(len(events)), key=lambda i: events[i].offer_order())
         for i in order:
             event = events[i]
             futures[i] = self.submit(
@@ -826,10 +806,7 @@ class PimSession:
             batches=len(self._own_batches(shard, completed)),
         )
 
-    def _submit_spec(self, spec, kind, priority, deadline_ns, at_ns) -> Future:
-        return self._submit(spec, spec.to_request(), kind, priority, deadline_ns, at_ns)
-
-    def _submit(self, spec, request, kind, priority, deadline_ns, at_ns) -> Future:
+    def _submit(self, request, kind, priority, deadline_ns, at_ns) -> Future:
         arrival = self.backend.clock_ns if at_ns is None else float(at_ns)
         # Serve whatever the policy closes before this arrival, so
         # admission sees the live queue.  A non-finite arrival moves no
@@ -843,7 +820,7 @@ class PimSession:
             trace = getattr(record, "trace", None)
             if trace is not None:
                 trace.set(submitted=kind, session=self.name)
-        future = Future(self, spec, request, record, kind)
+        future = Future(self, request, record, kind)
         self.futures.append(future)
         return future
 
@@ -878,7 +855,12 @@ class PimSession:
         matching: Optional[int] = None
         epilogue_ns = 0.0
         epilogue_j = 0.0
-        num_rows = future.spec.num_rows if future.spec is not None else None
+        request = future.request
+        num_rows: Optional[int] = None
+        if isinstance(request, ScanRequest):
+            num_rows = request.column.num_rows
+        elif isinstance(request, BitmapConjunctionRequest):
+            num_rows = request.index.num_rows
         if num_rows is not None and value is not None:
             matching = BitmapIndex.count(value, num_rows)
             epilogue = self._coster.epilogue_cost(num_rows, matching)

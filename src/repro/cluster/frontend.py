@@ -906,23 +906,10 @@ class ClusterFrontend:
             ):
                 # Re-scatter the sub-conjunction's predicates over the
                 # surviving replicas of the parent index.
-                parent = request.index.index
-                views = self._views_for(parent)
-                assignment = self.router.assign_scatter(
-                    [column for column, _ in request.predicates], load
+                parent = BitmapConjunctionRequest(
+                    index=request.index.index, predicates=request.predicates
                 )
-                by_shard: Dict[int, List[Tuple[str, Tuple[int, ...]]]] = {}
-                for (column, values), (_, shard) in zip(request.predicates, assignment):
-                    by_shard.setdefault(shard, []).append((column, values))
-                plan = [
-                    (
-                        shard,
-                        BitmapConjunctionRequest(
-                            index=views[shard], predicates=tuple(predicates)
-                        ),
-                    )
-                    for shard, predicates in sorted(by_shard.items())
-                ]
+                plan = self._scatter_conjunction(parent, load)
             elif isinstance(request, ScanRequest):
                 plan = [(self.router.route(request.column, load), request)]
             elif is_write_request(request):

@@ -221,46 +221,6 @@ class BitmapIndex:
             operations.append(("and", len(predicates) - 1))
         return result, BitmapPlan(operations=operations, result_bits=self.num_rows)
 
-    # ------------------------------------------------------------------
-    # Lowering to primitive bulk operations (service-pipeline hook)
-    # ------------------------------------------------------------------
-    def lower_conjunction(
-        self,
-        predicates: Sequence[Tuple[str, Sequence[int]]],
-        row_size_bytes: int = 8192,
-    ) -> Tuple[List[Tuple[str, BulkBitVector, BulkBitVector, BulkBitVector]], BulkBitVector, BitmapPlan]:
-        """Lower a conjunction into primitive bulk bitwise steps.
-
-        Each step is ``(op, a, b, out)`` over host-only
-        :class:`BulkBitVector` operands: first the OR chain of each
-        predicate's value bitmaps, then the AND chain across predicates.
-        The steps are data-dependent in order (each ``out`` feeds a later
-        operand), so an executor must run them in sequence.  The step count
-        matches :meth:`evaluate_conjunction`'s :class:`BitmapPlan` exactly,
-        so charging each step at the engine's bulk-operation cost attributes
-        the same total latency and energy as the plan-level cost model.
-
-        Args:
-            predicates: (column, values) pairs.
-            row_size_bytes: Row size of the *target device* — the vectors'
-                row-chunk count, and therefore the cost the executor
-                charges per step, is derived from it.  Callers lowering for
-                an engine must pass its device's row size or the charged
-                cost diverges from the plan-level model.
-
-        Returns:
-            (steps, result vector, plan).  With one single-value predicate
-            the step list is empty and the result is the bitmap itself.
-
-        The expansion itself lives in the shared plan IR
-        (:func:`repro.api.plans.lower_conjunction_steps`), which both the
-        single-device planner and every cluster shard lower through; this
-        method remains as the index-side convenience surface.
-        """
-        from repro.api.plans import lower_conjunction_steps  # local: avoid cycle
-
-        return lower_conjunction_steps(self, predicates, row_size_bytes=row_size_bytes)
-
     @staticmethod
     def count(packed_bitmap: np.ndarray, num_rows: int) -> int:
         """COUNT(*) over a packed result bitmap."""

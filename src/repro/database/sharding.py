@@ -8,12 +8,13 @@ replicated onto several shards).  A shard never sees the whole
 placed on that shard.
 
 The view implements exactly the surface the service planner needs —
-``num_rows``, ``bitmap``, ``evaluate_conjunction``, ``lower_conjunction``
-— so lowering a scattered :class:`~repro.service.requests
-.BitmapConjunctionRequest` happens *shard-locally*: each shard lowers and
-executes only the OR/AND chain of its own predicates, and the cluster
-frontend merges the per-shard partial bitmaps host-side (a bitwise AND),
-bit-exactly reproducing single-device evaluation.
+``num_rows``, ``bitmap``, ``evaluate_conjunction`` — so lowering a
+scattered :class:`~repro.service.requests.BitmapConjunctionRequest`
+through :func:`~repro.api.plans.lower_conjunction_steps` happens
+*shard-locally*: each shard lowers and executes only the OR/AND chain of
+its own predicates, and the cluster frontend merges the per-shard
+partial bitmaps host-side (a bitwise AND), bit-exactly reproducing
+single-device evaluation.
 
 Views share the underlying bitmap arrays with their parent index — a
 replica costs the *placed* columns' bytes on its shard's device in a real
@@ -27,7 +28,6 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.ambit.bitvector import BulkBitVector
 from repro.database.bitmap_index import BitmapIndex, BitmapPlan
 from repro.database.tables import ColumnTable
 
@@ -70,10 +70,11 @@ class BitmapIndexShardView:
     """Column-subset view of a :class:`BitmapIndex` (bitmaps shared).
 
     The view quacks like a bitmap index over only its shard's columns, so
-    the service planner's conjunction lowering
-    (:meth:`lower_conjunction`) and latency model work unchanged on a
-    shard — with predicates outside the shard's columns rejected loudly
-    rather than silently answered.
+    the shared conjunction lowering
+    (:func:`~repro.api.plans.lower_conjunction_steps`) and the planner's
+    latency model work unchanged on a shard — with predicates outside
+    the shard's columns rejected loudly by :meth:`bitmap` rather than
+    silently answered.
     """
 
     def __init__(self, index: BitmapIndex, columns: Iterable[str]) -> None:
@@ -129,20 +130,6 @@ class BitmapIndexShardView:
         """Evaluate a conjunction of shard-local predicates."""
         self._require_all_local(predicates)
         return self.index.evaluate_conjunction(predicates)
-
-    def lower_conjunction(
-        self,
-        predicates: Sequence[Tuple[str, Sequence[int]]],
-        row_size_bytes: int = 8192,
-    ) -> Tuple[List[Tuple[str, BulkBitVector, BulkBitVector, BulkBitVector]], BulkBitVector, BitmapPlan]:
-        """Lower shard-local predicates to primitive bulk operations.
-
-        Delegates to :meth:`BitmapIndex.lower_conjunction` after checking
-        every predicate column is placed here, so a shard's planner can
-        only ever lower work its own device holds the bitmaps for.
-        """
-        self._require_all_local(predicates)
-        return self.index.lower_conjunction(predicates, row_size_bytes=row_size_bytes)
 
     def _require_all_local(self, predicates: Sequence[Tuple[str, Sequence[int]]]) -> None:
         for column, _values in predicates:

@@ -6,7 +6,8 @@ let its request vanish — it backs off exponentially and offers it again.
 every rejected offer is rescheduled ``base_ns * multiplier**attempt``
 later (with optional seeded jitter to de-synchronize retry storms), up to
 ``max_attempts`` total tries.  The deadline, priority, and the request
-itself are preserved across attempts — only the arrival time moves.
+itself are preserved across attempts — only the arrival time moves.  An
+``"invalid"`` rejection (malformed input) is final: no retry can fix it.
 
 Two fault-tolerance refinements: the retry budget is **deadline-aware**
 (a retry whose backoff delay would land past the request's deadline is
@@ -175,17 +176,19 @@ class RetryClient:
         """Serve a stream, retrying rejections, and report both views.
 
         Offers are processed in virtual-time order across first offers and
-        retries together; the backend serves batches in between exactly
-        as it would for a plain arrival stream.
+        retries together (first offers with a non-finite arrival go last,
+        as in :meth:`~repro.api.session.PimSession.submit_stream`); the
+        backend serves batches in between exactly as it would for a plain
+        arrival stream.
         """
         outcome = RetryOutcome(result=None)
-        heap: List[Tuple[float, int, int, RetryRecord]] = []
-        for i, event in enumerate(sorted(events, key=lambda e: e.arrival_ns)):
+        heap: List[Tuple[Tuple[bool, float], int, int, RetryRecord]] = []
+        for i, event in enumerate(sorted(events, key=ArrivalEvent.offer_order)):
             record = RetryRecord(event=event)
             outcome.records.append(record)
-            heapq.heappush(heap, (event.arrival_ns, i, 1, record))
+            heapq.heappush(heap, (event.offer_order(), i, 1, record))
         while heap:
-            offer_ns, key, attempt, record = heapq.heappop(heap)
+            (_, offer_ns), key, attempt, record = heapq.heappop(heap)
             envelope = self.session.submit(
                 record.event.request,
                 priority=record.event.priority,
@@ -193,7 +196,12 @@ class RetryClient:
                 at_ns=offer_ns,
             ).record
             record.attempts.append(envelope)
-            if not envelope.admitted and attempt < self.policy.max_attempts:
+            # An "invalid" rejection is malformed input: no retry can fix it.
+            if (
+                not envelope.admitted
+                and envelope.rejected_reason != "invalid"
+                and attempt < self.policy.max_attempts
+            ):
                 # Jitter is keyed per (request, attempt): deterministic,
                 # order-independent, and de-synchronized across victims
                 # of the same shard failure.
@@ -205,7 +213,7 @@ class RetryClient:
                     # capped here rather than wasting a doomed offer.
                     self.deadline_exhausted += 1
                     continue
-                heapq.heappush(heap, (offer_ns + delay, key, attempt + 1, record))
+                heapq.heappush(heap, ((False, offer_ns + delay), key, attempt + 1, record))
         self.session.drain()
         outcome.result = self.session.report(name)
         return outcome

@@ -65,7 +65,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -97,6 +97,11 @@ class ArrivalEvent:
     arrival_ns: float
     priority: int = 0
     deadline_ns: Optional[float] = None
+
+    def offer_order(self) -> Tuple[bool, float]:
+        """Sort key of a stream's first offers: virtual-time order, with
+        non-finite arrivals (rejected as ``"invalid"``) last."""
+        return (not math.isfinite(self.arrival_ns), self.arrival_ns)
 
 
 def poisson_schedule(

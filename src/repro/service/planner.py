@@ -13,8 +13,8 @@
   Primitives pass through unchanged; high-level requests are *lowered* —
   a :class:`~repro.service.requests.BitmapConjunctionRequest` becomes the
   OR/AND chain of :class:`~repro.service.requests.BulkOpRequest` steps
-  produced by :meth:`BitmapIndex.lower_conjunction`, pinned to one bank
-  offset so the data-dependent chain serializes on its banks.
+  produced by :func:`~repro.api.plans.lower_conjunction_steps`, pinned to
+  one bank offset so the data-dependent chain serializes on its banks.
 
 The executor orders the lowered batch longest-first (LPT) before bank
 assignment; the planner deliberately leaves intra-batch ordering to it.

@@ -27,6 +27,7 @@ from repro.analysis.metrics import BatchMetrics, OperationMetrics
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn, ScanPlan
 from repro.rowclone.engine import CopyMode
+from repro.storage.requests import is_write_request
 
 #: Predicate kinds a ScanRequest understands (dispatched to
 #: :meth:`BitWeavingColumn.scan`).
@@ -121,10 +122,10 @@ class BitmapConjunctionRequest:
 
     This is a *high-level* request: the executor does not understand it.
     The :class:`~repro.service.planner.BatchPlanner` lowers it — via
-    :meth:`BitmapIndex.lower_conjunction` — into a chain of primitive
-    :class:`BulkOpRequest` steps (the OR of each predicate's value bitmaps,
-    then the AND across predicates), pinned to one bank-offset hint so the
-    data-dependent chain serializes on its banks.
+    :func:`~repro.api.plans.lower_conjunction_steps` — into a chain of
+    primitive :class:`BulkOpRequest` steps (the OR of each predicate's
+    value bitmaps, then the AND across predicates), pinned to one
+    bank-offset hint so the data-dependent chain serializes on its banks.
 
     Attributes:
         index: The bitmap index holding the per-value bitmaps.
@@ -152,18 +153,33 @@ FrontendRequest = Union[ServiceRequest, BitmapConjunctionRequest]
 def invalid_input(
     request: Any, arrival_ns: float, deadline_ns: Optional[float]
 ) -> bool:
-    """True when an offer is malformed on its face: a non-finite arrival
-    or deadline, or a scan constant that does not fit its column's code
-    width.  Frontends reject such offers as ``"invalid"`` before their
-    clocks move, so one bad request never poisons a stream."""
+    """True when an offer is malformed on its face.
+
+    That is: a non-finite arrival or deadline; a request type no backend
+    serves; a scan constant that does not fit its column's code width,
+    or a ``between`` whose low exceeds its high; a conjunction predicate
+    on a column its index does not hold, or a value outside that
+    column's cardinality at the offer (read from the table, so a lazily
+    maintained column is not rebuilt here).  Frontends reject such
+    offers as ``"invalid"`` before their clocks move, so one bad request
+    never poisons a stream."""
     if not math.isfinite(arrival_ns):
         return True
     if deadline_ns is not None and not math.isfinite(deadline_ns):
         return True
     if isinstance(request, ScanRequest):
         limit = 1 << request.column.num_bits
-        return not all(0 <= constant < limit for constant in request.constants)
-    return False
+        if not all(0 <= constant < limit for constant in request.constants):
+            return True
+        return request.kind == "between" and request.constants[0] > request.constants[1]
+    if isinstance(request, BitmapConjunctionRequest):
+        held = request.index.indexed_columns()
+        cardinalities = request.index.table.cardinalities
+        return not all(
+            column in held and all(0 <= value < cardinalities[column] for value in values)
+            for column, values in request.predicates
+        )
+    return not (isinstance(request, (BulkOpRequest, CopyRequest)) or is_write_request(request))
 
 
 @dataclass

@@ -64,6 +64,7 @@ class AppendRequest:
 class UpdateRequest:
     """In-place overwrite of ``column[row_ids] = values``.
 
+    ``row_ids`` and ``values`` must have equal lengths (checked here).
     Row ids must be unique within one update (enforced by
     :meth:`ColumnTable.update_rows`): a duplicated id would make the
     incremental clear-old/set-new plane maintenance ambiguous.
@@ -79,6 +80,8 @@ class UpdateRequest:
     kind: str = field(default="update", init=False)
 
     def __post_init__(self) -> None:
+        if len(self.row_ids) != len(self.values):
+            raise ValueError("row_ids and values must have equal lengths")
         if self.columns is not None:
             object.__setattr__(self, "columns", tuple(self.columns))
 

@@ -22,15 +22,12 @@ from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.api import (
     Backend,
     ClusterDetails,
-    ConjunctionSpec,
     HostBackend,
     HostDetails,
     PimSession,
     RequestRejected,
-    ScanSpec,
     ServiceDetails,
     lower_conjunction_steps,
-    spec_for_request,
 )
 from repro.cluster import ClusterFrontend, ShardRouter
 from repro.database.bitmap_index import BitmapIndex
@@ -42,13 +39,16 @@ from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
 from repro.service import (
+    BackoffPolicy,
     BatchExecutor,
     BatchPolicy,
+    BitmapConjunctionRequest,
     RetryClient,
     ScanRequest,
     ServiceFrontend,
     poisson_schedule,
 )
+from repro.storage import UpdateRequest
 
 
 def _device(banks: int = 4) -> DramDevice:
@@ -404,29 +404,105 @@ class TestInvalidInput:
             assert np.array_equal(future.result().value, expected)
         assert self._invalid_count(session) == 1.0
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda column, index: BitmapConjunctionRequest(
+                index=index, predicates=(("region", (1,)), ("nope", (0,)))
+            ),
+            lambda column, index: BitmapConjunctionRequest(
+                index=index, predicates=(("region", (1, 99)),)
+            ),
+            lambda column, index: ScanRequest(column=column, kind="between", constants=(9, 3)),
+            lambda column, index: object(),
+        ],
+        ids=[
+            "unindexed_column",
+            "value_outside_cardinality",
+            "between_low_above_high",
+            "unserved_type",
+        ],
+    )
+    @pytest.mark.parametrize("tier", ["service", "cluster"])
+    def test_malformed_request_fails_only_itself(self, tier, bad):
+        """Good scan, bad request, good conjunction: the bad one fails
+        alone as ``"invalid"`` and the good ones keep their exact values."""
+        rng = np.random.default_rng(84)
+        session = _tier_session(tier)
+        column = _random_column(rng)
+        index = _bitmap_index(rng)
+        good_scan = ScanRequest(column=column, kind="less_than", constants=(9,))
+        predicates = (("region", (1, 2)), ("status", (0,)))
+        good_conjunction = BitmapConjunctionRequest(index=index, predicates=predicates)
+        requests = [good_scan, bad(column, index), good_conjunction]
+        futures = session.submit_stream(poisson_schedule(requests, rate_per_s=1e6, seed=84))
+        session.drain()
+        self._assert_invalid(futures[1])
+        expected_scan, _ = column.scan("less_than", 9)
+        assert np.array_equal(futures[0].result().value, expected_scan)
+        expected_conjunction, _ = index.evaluate_conjunction(list(predicates))
+        assert np.array_equal(futures[2].result().value, expected_conjunction)
+        assert self._invalid_count(session) == 1.0
+
+    @pytest.mark.parametrize("tier", ["service", "cluster"])
+    def test_retry_client_does_not_retry_invalid_input(self, tier):
+        rng = np.random.default_rng(85)
+        session = _tier_session(tier)
+        column = _random_column(rng, num_bits=8)
+        requests = [
+            ScanRequest(column=column, kind="less_than", constants=(c,))
+            for c in (3, 999, 40, 7)
+        ]
+        events = list(poisson_schedule(requests, rate_per_s=1e6, seed=85))
+        events[3] = dataclasses.replace(events[3], arrival_ns=math.nan)
+        outcome = RetryClient(session, policy=BackoffPolicy(max_attempts=4)).run(events)
+        assert outcome.total_attempts == 4
+        assert outcome.delivered == 2
+        assert self._invalid_count(session) == 2.0
+        # First offers follow submit_stream's order: the NaN arrival last.
+        offered = [future.record.arrival_ns for future in session.futures]
+        assert offered[:-1] == sorted(offered[:-1])
+        assert math.isnan(offered[-1])
+
 
 class TestPlanIR:
     def test_specs_validate(self):
         rng = np.random.default_rng(9)
         column = _random_column(rng)
+        index = _bitmap_index(rng)
         with pytest.raises(ValueError):
-            ScanSpec(column=column, kind="nope", constants=(1,))
+            ScanRequest(column=column, kind="nope", constants=(1,))
         with pytest.raises(ValueError):
-            ScanSpec(column=column, kind="between", constants=(1,))
+            ScanRequest(column=column, kind="between", constants=(1,))
         with pytest.raises(ValueError):
-            ConjunctionSpec(index=_bitmap_index(rng), predicates=())
-        with pytest.raises(TypeError):
-            spec_for_request(object())
+            BitmapConjunctionRequest(index=index, predicates=())
+        with pytest.raises(ValueError):
+            UpdateRequest(
+                table=index.table, index=index, column="status", row_ids=(0, 1), values=(2,)
+            )
+        with pytest.raises(ValueError):
+            _service_session().scan(column, "nope", 1)
 
-    def test_spec_round_trip_preserves_requests(self):
-        rng = np.random.default_rng(10)
-        column = _random_column(rng)
-        spec = ScanSpec(column=column, kind="between", constants=(3, 17))
-        request = spec.to_request()
-        assert spec_for_request(request) == spec
-        expected, _ = spec.evaluate()
-        got, _ = request.scan_result()
-        assert np.array_equal(got, expected)
+    @pytest.mark.parametrize("tier", ["service", "cluster", "host"])
+    def test_scan_and_submit_of_the_same_request_respond_alike(self, tier):
+        """The constructor and a raw submit of the request it builds give
+        the same kind, count and epilogue: the session only adds timing."""
+        codes = np.random.default_rng(14).integers(0, 64, size=200)
+        column = BitWeavingColumn(codes, 6)
+
+        def session():
+            return PimSession.over_host() if tier == "host" else _tier_session(tier)
+
+        built = session().scan(column, "less_equal", 21).result()
+        raw = (
+            session()
+            .submit(ScanRequest(column=column, kind="less_equal", constants=(21,)))
+            .result()
+        )
+        assert built.kind == raw.kind == "scan"
+        assert built.matching_rows == raw.matching_rows
+        assert built.matching_rows == int(np.count_nonzero(codes <= 21))
+        assert built.breakdown["epilogue_ns"] == raw.breakdown["epilogue_ns"] > 0
 
     def test_shared_lowering_matches_evaluate_on_index_and_view(self):
         """One code path: the IR lowers a full index and a shard view

@@ -281,6 +281,38 @@ class TestFailoverBitExactness:
                 assert all(s != 1 for s in record.shard_ids)
                 assert record.migrated_parts  # originals kept for audit
 
+    def test_failover_rescatter_is_certified_by_the_coverage_check(
+        self, serve, monkeypatch
+    ):
+        """Under sanitize=True a failover re-scatter runs through the same
+        scatter path as a first offer, so the coverage check certifies it
+        too: once per offered conjunction plus once per migrated part."""
+        import repro.verify.plan_lint as plan_lint
+
+        calls = []
+        real_check = plan_lint.check_scatter_coverage
+
+        def spy(predicates, parts):
+            calls.append(tuple(predicates))
+            return real_check(predicates, parts)
+
+        monkeypatch.setattr(plan_lint, "check_scatter_coverage", spy)
+        rng = np.random.default_rng(42)
+        index = _bitmap_index(rng)
+        requests = _conjunctions(rng, index, count=24)
+        cluster = _cluster(
+            4,
+            router=ShardRouter(4, replication_factor=2),
+            faults=kill_revive_schedule([(1, 600.0, None)]),
+            sanitize=True,
+        )
+        report, records = serve(cluster, poisson_schedule(requests, rate_per_s=8e6, seed=42))
+        migrated = [part for record in records for part in record.migrated_parts]
+        assert migrated
+        assert report.details.completed == len(requests)
+        expected = [r.predicates for r in requests] + [p.request.predicates for p in migrated]
+        assert sorted(calls) == sorted(expected)
+
     def test_revived_shard_serves_again(self):
         rng = np.random.default_rng(7)
         column = BitWeavingColumn(rng.integers(0, 64, size=200), 6)
